@@ -2,10 +2,10 @@
 ///
 /// \file
 /// A bundle of reusable buffers for the allocation hot path. Small-function
-/// allocation is dominated by malloc churn: every block scanned by
-/// InterferenceGraph::scanBlockForEdges used to allocate a fresh BitVector
-/// and two vectors, every coalescing pass a Touched array, every round a
-/// spill-index map. An AllocationScratch owns those buffers and hands them
+/// allocation is dominated by malloc churn: every interference scan
+/// (InterferenceGraph::scanBlocksForEdges) needs a live-vreg BitVector and
+/// per-range live lists, every coalescing pass a Touched array, every round
+/// a spill-index map. An AllocationScratch owns those buffers and hands them
 /// out re-initialized, so the capacity acquired on the first function is
 /// recycled across blocks, passes, rounds, and functions.
 ///
@@ -28,10 +28,11 @@
 #ifndef CCRA_REGALLOC_ALLOCATIONSCRATCH_H
 #define CCRA_REGALLOC_ALLOCATIONSCRATCH_H
 
+#include "ir/Register.h"
 #include "support/BitVector.h"
 
+#include <array>
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,7 +40,7 @@ namespace ccra {
 
 class AllocationScratch {
 public:
-  /// scanBlockForEdges: the vreg-granularity live set. Returned resized to
+  /// scanBlocksForEdges: the vreg-granularity live set. Returned resized to
   /// \p NumVRegs with every bit clear.
   BitVector &liveBits(unsigned NumVRegs) {
     noteReuse(LiveBits.size() >= NumVRegs);
@@ -48,24 +49,29 @@ public:
     return LiveBits;
   }
 
-  /// scanBlockForEdges: live-vreg count per live range, zeroed.
+  /// scanBlocksForEdges: live-vreg count per live range, zeroed.
   std::vector<unsigned> &rangeLiveCount(unsigned NumRanges) {
     noteReuse(RangeLiveCount.capacity() >= NumRanges);
     RangeLiveCount.assign(NumRanges, 0);
     return RangeLiveCount;
   }
 
-  /// scanBlockForEdges: dense list of currently live ranges, emptied.
-  std::vector<unsigned> &rangeLiveList() {
-    noteReuse(RangeLiveList.capacity() > 0);
-    RangeLiveList.clear();
-    return RangeLiveList;
+  /// One list of live-range ids per register bank.
+  using BankRangeLists = std::array<std::vector<unsigned>, NumRegBanks>;
+
+  /// scanBlocksForEdges: dense lists of currently live ranges, one per
+  /// register bank, each emptied.
+  BankRangeLists &rangeLiveLists() {
+    noteReuse(RangeLiveLists[0].capacity() > 0);
+    for (auto &List : RangeLiveLists)
+      List.clear();
+    return RangeLiveLists;
   }
 
-  /// scanBlockForEdges: position of each live range inside rangeLiveList(),
-  /// for O(1) swap-removal. Returned sized to \p NumRanges; contents are
-  /// only read for ranges currently in the live list, so no re-init beyond
-  /// the resize is needed.
+  /// scanBlocksForEdges: position of each live range inside its bank's
+  /// rangeLiveLists() entry, for O(1) swap-removal. Returned sized to
+  /// \p NumRanges; contents are only read for ranges currently in a live
+  /// list, so no re-init beyond the resize is needed.
   std::vector<unsigned> &rangeLivePos(unsigned NumRanges) {
     noteReuse(RangeLivePos.capacity() >= NumRanges);
     RangeLivePos.resize(NumRanges);
@@ -96,9 +102,10 @@ public:
   /// \name Interference-graph buffer pool
   /// Unlike the accessors above, graph buffers are *moved* out (the graph
   /// outlives any single scratch handout) and returned by
-  /// InterferenceGraph::recycle / finalize when the graph is done with
-  /// them. take* re-initializes nothing beyond emptying — the graph
-  /// constructor sizes what it takes.
+  /// InterferenceGraph::recycle when the graph is done with them: the
+  /// adjacency lists (both representations) and the dense tier's bit
+  /// matrix. take* re-initializes nothing — the graph constructor sizes
+  /// and clears what it takes.
   /// @{
   std::vector<std::vector<unsigned>> takeGraphAdj() {
     noteReuse(!GraphAdj.empty());
@@ -113,15 +120,6 @@ public:
     return std::move(GraphMatrix);
   }
   void storeGraphMatrix(BitVector &&Matrix) { GraphMatrix = std::move(Matrix); }
-
-  std::unordered_set<uint64_t> takeGraphEdgeSet() {
-    noteReuse(GraphEdgeSet.bucket_count() > 0);
-    GraphEdgeSet.clear();
-    return std::move(GraphEdgeSet);
-  }
-  void storeGraphEdgeSet(std::unordered_set<uint64_t> &&EdgeSet) {
-    GraphEdgeSet = std::move(EdgeSet);
-  }
   /// @}
 
   /// Number of times a buffer was handed out without having to grow.
@@ -132,14 +130,13 @@ private:
 
   BitVector LiveBits;
   std::vector<unsigned> RangeLiveCount;
-  std::vector<unsigned> RangeLiveList;
+  BankRangeLists RangeLiveLists;
   std::vector<unsigned> RangeLivePos;
   std::vector<char> TouchedRanges;
   std::vector<char> DeleteFlags;
   std::vector<int> SpillIndexOfRange;
   std::vector<std::vector<unsigned>> GraphAdj;
   BitVector GraphMatrix;
-  std::unordered_set<uint64_t> GraphEdgeSet;
   std::uint64_t Reuses = 0;
 };
 

@@ -70,7 +70,8 @@ struct AllocatorOptions {
   CalleeCostModel CalleeModel = CalleeCostModel::Shared;
   PriorityOrdering Ordering = PriorityOrdering::FullSort;
 
-  /// Coalesce copies aggressively (ignore the conservative degree test).
+  /// Coalesce copies aggressively: ignore the conservative degree test,
+  /// except for copies touching an unspillable reload temporary.
   bool AggressiveCoalescing = false;
 
   /// Materialize save/restore instructions after allocation (the cost

@@ -166,10 +166,15 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
         unsigned Dst = static_cast<unsigned>(DstRange);
         RegBank Bank = LRS.range(Src).Bank;
         unsigned N = MD.numRegs(Bank);
+        // Aggressive mode skips the Briggs test, except for a copy touching
+        // an unspillable reload temporary: merged into a long class it
+        // could leave a node the allocator can neither color nor spill.
+        bool SkipBriggs = Req.Aggressive && !LRS.range(Src).NoSpill &&
+                          !LRS.range(Dst).NoSpill;
         bool CanMerge =
             !Touched[Src] && !Touched[Dst] && LRS.range(Dst).Bank == Bank &&
             !IG.interfere(Src, Dst) &&
-            (Req.Aggressive || conservativelySafe(IG, LRS, Src, Dst, N));
+            (SkipBriggs || conservativelySafe(IG, LRS, Src, Dst, N));
         if (!CanMerge)
           continue;
         VirtReg RootS = LRS.range(Src).Root;

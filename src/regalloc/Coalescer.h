@@ -56,6 +56,7 @@ struct CoalesceStats {
 
 /// Per-run configuration of the coalescer.
 struct CoalesceRequest {
+  /// Skip the Briggs test, except for copies touching a NoSpill range.
   bool Aggressive = false;
   /// Maintain liveness across passes by renaming/patching instead of
   /// re-running the dataflow each pass. Bit-identical either way.

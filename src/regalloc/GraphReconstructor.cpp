@@ -140,6 +140,7 @@ void GraphReconstructor::apply(const Function &F, const FrequencyInfo &Freq,
   }
   // Blocks referencing a temporary are the only ones with new edges
   // (everything else kept its liveness and instructions).
+  std::vector<const BasicBlock *> TouchedBlocks;
   for (const auto &BB : F.blocks()) {
     bool Touched = false;
     for (const Instruction &I : BB->instructions()) {
@@ -151,10 +152,11 @@ void GraphReconstructor::apply(const Function &F, const FrequencyInfo &Freq,
         break;
     }
     if (Touched)
-      InterferenceGraph::scanBlockForEdges(F, *BB, LV.liveOut(*BB), NewLRS,
-                                           NewIG, &S);
+      TouchedBlocks.push_back(BB.get());
   }
-  NewIG.finalize(&S);
+  InterferenceGraph::scanBlocksForEdges(F, TouchedBlocks, LV, NewLRS, NewIG,
+                                        &S);
+  NewIG.finalize();
 
   LRS = std::move(NewLRS);
   IG.recycle(S);

@@ -19,8 +19,6 @@ InterferenceGraph::InterferenceGraph(unsigned NumNodes, GraphRep Policy,
     Adj = Scratch->takeGraphAdj();
     if (Dense)
       Matrix = Scratch->takeGraphMatrix();
-    else
-      EdgeSet = Scratch->takeGraphEdgeSet();
   }
   // Recycled adjacency keeps per-node capacity; trim or grow to NumNodes
   // with every kept list emptied.
@@ -44,33 +42,18 @@ size_t InterferenceGraph::matrixIndex(unsigned A, unsigned B) const {
   return static_cast<size_t>(B) * (B - 1) / 2 + A;
 }
 
-void InterferenceGraph::reopenEdgeSet() {
-  EdgeSet.reserve(NumEdges + NumEdges / 2);
-  for (unsigned A = 0; A < Adj.size(); ++A)
-    for (unsigned B : Adj[A])
-      if (A < B)
-        EdgeSet.insert(edgeKey(A, B));
-}
-
 void InterferenceGraph::addEdge(unsigned A, unsigned B) {
   assert(A < numNodes() && B < numNodes() && "node out of range");
   if (A == B)
     return;
-  if (Dense) {
-    size_t Idx = matrixIndex(A, B);
-    if (Matrix.test(Idx))
-      return;
-    Matrix.set(Idx);
-  } else {
-    if (Finalized)
-      reopenEdgeSet();
-    if (!EdgeSet.insert(edgeKey(A, B)).second)
-      return;
-  }
   Finalized = false;
+  if (Dense) {
+    Matrix.set(matrixIndex(A, B));
+    return;
+  }
+  // Duplicates are dropped by finalize()'s sort-unique.
   Adj[A].push_back(B);
   Adj[B].push_back(A);
-  ++NumEdges;
 }
 
 bool InterferenceGraph::interfere(unsigned A, unsigned B) const {
@@ -78,36 +61,55 @@ bool InterferenceGraph::interfere(unsigned A, unsigned B) const {
     return false;
   if (Dense)
     return Matrix.test(matrixIndex(A, B));
-  if (!Finalized)
-    return EdgeSet.count(edgeKey(A, B)) != 0;
-  // Finalized sparse: binary search the shorter endpoint's sorted list.
+  // Sparse: search the shorter endpoint's list — binary once finalized,
+  // linear while appended entries are still unsorted.
   bool AShorter = Adj[A].size() <= Adj[B].size();
   const std::vector<unsigned> &List = AShorter ? Adj[A] : Adj[B];
   unsigned Target = AShorter ? B : A;
-  return std::binary_search(List.begin(), List.end(), Target);
+  if (Finalized)
+    return std::binary_search(List.begin(), List.end(), Target);
+  return std::find(List.begin(), List.end(), Target) != List.end();
 }
 
-void InterferenceGraph::finalize(AllocationScratch *S) {
-  if (!Finalized)
-    for (auto &List : Adj)
-      std::sort(List.begin(), List.end());
-  if (!Dense && EdgeSet.bucket_count() > 0) {
-    EdgeSet.clear();
-    if (S)
-      S->storeGraphEdgeSet(std::move(EdgeSet));
-    EdgeSet = std::unordered_set<uint64_t>();
-  }
+void InterferenceGraph::finalize() {
+  if (Finalized)
+    return;
   Finalized = true;
+  NumEdges = 0;
+  if (!Dense) {
+    for (auto &List : Adj) {
+      std::sort(List.begin(), List.end());
+      List.erase(std::unique(List.begin(), List.end()), List.end());
+      NumEdges += List.size();
+    }
+    NumEdges /= 2;
+    return;
+  }
+  // Row B of the triangle spans bits [B*(B-1)/2, B*(B+1)/2) and holds B's
+  // lower neighbours in ascending order. Walking the set bits row by row
+  // appends to Adj[B] its lower neighbours first and, from later rows, its
+  // higher ones in ascending order — every list comes out sorted.
+  for (auto &List : Adj)
+    List.clear();
+  unsigned Row = 1;
+  size_t RowStart = 0;
+  Matrix.forEachSetBit([&](size_t Idx) {
+    while (Idx >= RowStart + Row) {
+      RowStart += Row;
+      ++Row;
+    }
+    unsigned Lower = static_cast<unsigned>(Idx - RowStart);
+    Adj[Row].push_back(Lower);
+    Adj[Lower].push_back(Row);
+    ++NumEdges;
+  });
 }
 
 size_t InterferenceGraph::memoryBytes() const {
   size_t Bytes = Adj.capacity() * sizeof(std::vector<unsigned>);
   for (const auto &List : Adj)
     Bytes += List.capacity() * sizeof(unsigned);
-  Bytes += Matrix.memoryBytes();
-  Bytes += EdgeSet.bucket_count() * sizeof(void *) +
-           EdgeSet.size() * (sizeof(uint64_t) + 2 * sizeof(void *));
-  return Bytes;
+  return Bytes + Matrix.memoryBytes();
 }
 
 void InterferenceGraph::recycle(AllocationScratch &S) {
@@ -116,96 +118,110 @@ void InterferenceGraph::recycle(AllocationScratch &S) {
   if (Dense) {
     S.storeGraphMatrix(std::move(Matrix));
     Matrix = BitVector();
-  } else if (EdgeSet.bucket_count() > 0) {
-    S.storeGraphEdgeSet(std::move(EdgeSet));
-    EdgeSet = std::unordered_set<uint64_t>();
   }
   NumEdges = 0;
-  Finalized = false;
+  Finalized = true;
 }
 
-void InterferenceGraph::scanBlockForEdges(const Function &F,
-                                          const BasicBlock &BB,
-                                          const BitVector &LiveOut,
-                                          const LiveRangeSet &LRS,
-                                          InterferenceGraph &IG,
-                                          AllocationScratch *Scratch) {
+void InterferenceGraph::scanBlocksForEdges(
+    const Function &F, const std::vector<const BasicBlock *> &Blocks,
+    const Liveness &LV, const LiveRangeSet &LRS, InterferenceGraph &IG,
+    AllocationScratch *Scratch) {
   // Liveness is tracked at vreg granularity (Live); a live *range* is live
-  // while any member vreg is, maintained as a per-range count plus a dense
-  // list of currently live ranges (with a position index for O(1) removal)
-  // for fast iteration at defs.
+  // while any member vreg is, maintained as a per-range count plus, per
+  // register bank, a dense list of currently live ranges (with a position
+  // index for O(1) removal) for fast iteration at defs. A def walks only
+  // its own bank's list: ranges of other banks never interfere with it.
+  // The buffers are initialized once; each block hands them on clean.
   AllocationScratch Local;
   AllocationScratch &S = Scratch ? *Scratch : Local;
   BitVector &Live = S.liveBits(F.numVRegs());
   std::vector<unsigned> &LiveCount = S.rangeLiveCount(LRS.numRanges());
-  std::vector<unsigned> &LiveList = S.rangeLiveList();
+  AllocationScratch::BankRangeLists &LiveLists = S.rangeLiveLists();
   std::vector<unsigned> &LivePos = S.rangeLivePos(LRS.numRanges());
 
-  auto VRegBecameLive = [&](unsigned V) {
-    unsigned R = static_cast<unsigned>(LRS.rangeIdOf(VirtReg(V)));
+  // A range's bank is its vregs' bank; reading it off the vreg avoids
+  // loading the LiveRange.
+  auto RangeOf = [&](VirtReg V) {
+    return static_cast<unsigned>(LRS.rangeIdOf(V));
+  };
+  auto ListOf = [&](VirtReg V) -> std::vector<unsigned> & {
+    return LiveLists[static_cast<unsigned>(F.vregBank(V))];
+  };
+  auto VRegBecameLive = [&](VirtReg V) {
+    unsigned R = RangeOf(V);
     if (LiveCount[R]++ == 0) {
-      LivePos[R] = static_cast<unsigned>(LiveList.size());
-      LiveList.push_back(R);
+      std::vector<unsigned> &List = ListOf(V);
+      LivePos[R] = static_cast<unsigned>(List.size());
+      List.push_back(R);
     }
   };
-  auto VRegBecameDead = [&](unsigned V) {
-    unsigned R = static_cast<unsigned>(LRS.rangeIdOf(VirtReg(V)));
+  auto VRegBecameDead = [&](VirtReg V) {
+    unsigned R = RangeOf(V);
     assert(LiveCount[R] > 0 && "kill of dead range");
     if (--LiveCount[R] == 0) {
-      // Swap-remove via the position index: same list mutation the old
-      // linear scan performed, without the O(LiveList) search.
+      // Swap-remove via the position index.
+      std::vector<unsigned> &List = ListOf(V);
       unsigned Pos = LivePos[R];
-      unsigned Last = LiveList.back();
-      LiveList[Pos] = Last;
+      unsigned Last = List.back();
+      List[Pos] = Last;
       LivePos[Last] = Pos;
-      LiveList.pop_back();
+      List.pop_back();
     }
   };
 
-  for (unsigned V : LiveOut) {
-    Live.set(V);
-    VRegBecameLive(V);
-  }
-
-  const auto &Insts = BB.instructions();
-  for (auto It = Insts.rbegin(), E = Insts.rend(); It != E; ++It) {
-    const Instruction &I = *It;
-    int MoveSrcRange = I.isMove() ? LRS.rangeIdOf(I.moveSource()) : -1;
-
-    // A def conflicts with everything live after the instruction — except,
-    // for a copy, its own source (Chaitin's coalescing-enabling special
-    // case).
-    for (VirtReg D : I.Defs) {
-      unsigned DefRange = static_cast<unsigned>(LRS.rangeIdOf(D));
-      RegBank DefBank = LRS.range(DefRange).Bank;
-      for (unsigned Other : LiveList) {
-        if (Other == DefRange || static_cast<int>(Other) == MoveSrcRange)
-          continue;
-        if (LRS.range(Other).Bank != DefBank)
-          continue;
-        IG.addEdge(DefRange, Other);
-      }
+  for (const BasicBlock *BB : Blocks) {
+    for (unsigned V : LV.liveOut(*BB)) {
+      Live.set(V);
+      VRegBecameLive(VirtReg(V));
     }
-    // Multiple results of one instruction conflict with each other.
-    for (size_t A = 0; A + 1 < I.Defs.size(); ++A)
-      for (size_t B = A + 1; B < I.Defs.size(); ++B) {
-        unsigned RA = static_cast<unsigned>(LRS.rangeIdOf(I.Defs[A]));
-        unsigned RB = static_cast<unsigned>(LRS.rangeIdOf(I.Defs[B]));
-        if (RA != RB && LRS.range(RA).Bank == LRS.range(RB).Bank)
-          IG.addEdge(RA, RB);
-      }
 
-    // Step the live set backward across the instruction.
-    for (VirtReg D : I.Defs)
-      if (Live.test(D.Id)) {
-        Live.reset(D.Id);
-        VRegBecameDead(D.Id);
+    const auto &Insts = BB->instructions();
+    for (auto It = Insts.rbegin(), E = Insts.rend(); It != E; ++It) {
+      const Instruction &I = *It;
+      int MoveSrcRange = I.isMove() ? LRS.rangeIdOf(I.moveSource()) : -1;
+
+      // A def conflicts with everything of its bank live after the
+      // instruction — except, for a copy, its own source (Chaitin's
+      // coalescing-enabling special case).
+      for (VirtReg D : I.Defs) {
+        unsigned DefRange = RangeOf(D);
+        for (unsigned Other : ListOf(D)) {
+          if (Other == DefRange || static_cast<int>(Other) == MoveSrcRange)
+            continue;
+          IG.addEdge(DefRange, Other);
+        }
       }
-    for (VirtReg U : I.Uses)
-      if (!Live.test(U.Id)) {
-        Live.set(U.Id);
-        VRegBecameLive(U.Id);
-      }
+      // Multiple results of one instruction conflict with each other.
+      for (size_t A = 0; A + 1 < I.Defs.size(); ++A)
+        for (size_t B = A + 1; B < I.Defs.size(); ++B) {
+          unsigned RA = RangeOf(I.Defs[A]);
+          unsigned RB = RangeOf(I.Defs[B]);
+          if (RA != RB && F.vregBank(I.Defs[A]) == F.vregBank(I.Defs[B]))
+            IG.addEdge(RA, RB);
+        }
+
+      // Step the live set backward across the instruction.
+      for (VirtReg D : I.Defs)
+        if (Live.test(D.Id)) {
+          Live.reset(D.Id);
+          VRegBecameDead(D);
+        }
+      for (VirtReg U : I.Uses)
+        if (!Live.test(U.Id)) {
+          Live.set(U.Id);
+          VRegBecameLive(U);
+        }
+    }
+
+    // What is still live is the block's live-in: clear just those counts,
+    // so the next block starts clean without an O(ranges) reset.
+    for (auto &List : LiveLists) {
+      for (unsigned R : List)
+        LiveCount[R] = 0;
+      List.clear();
+    }
+    Live.resetAll();
   }
 }
 
@@ -214,13 +230,16 @@ InterferenceGraph InterferenceGraph::build(const Function &F,
                                            const LiveRangeSet &LRS,
                                            AllocationScratch *Scratch,
                                            GraphRep Policy) {
-  // Even without a caller-provided arena, share one across the blocks of
-  // this build instead of allocating per block.
+  // Even without a caller-provided arena, one arena serves the scan and
+  // the graph storage.
   AllocationScratch Local;
   AllocationScratch &S = Scratch ? *Scratch : Local;
   InterferenceGraph IG(LRS.numRanges(), Policy, &S);
+  std::vector<const BasicBlock *> Blocks;
+  Blocks.reserve(F.numBlocks());
   for (const auto &BB : F.blocks())
-    scanBlockForEdges(F, *BB, LV.liveOut(*BB), LRS, IG, &S);
-  IG.finalize(&S);
+    Blocks.push_back(BB.get());
+  scanBlocksForEdges(F, Blocks, LV, LRS, IG, &S);
+  IG.finalize();
   return IG;
 }

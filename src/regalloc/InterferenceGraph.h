@@ -9,21 +9,27 @@
 /// The edge relation is stored in one of two representations behind a single
 /// query API (GraphRep):
 ///
-///  - Dense: a strict-lower-triangle bit matrix. O(1) `interfere` and edge
-///    dedup, but V*(V-1)/2 bits of memory — quadratic in the node count.
-///  - Sparse: per-node adjacency only. While building, a hash set of packed
-///    (min,max) edge keys provides dedup and O(1) `interfere`; `finalize()`
-///    sorts the adjacency lists, drops the hash set, and switches
-///    `interfere` to a binary search of the smaller endpoint's list.
+///  - Dense: a strict-lower-triangle bit matrix. addEdge only sets a bit, so
+///    duplicate edges cost nothing and `interfere` is O(1), but the matrix
+///    holds V*(V-1)/2 bits — quadratic in the node count. Row B holds B's
+///    lower neighbours contiguously, so `finalize()` emits every adjacency
+///    list already in ascending order in one pass over the set bits.
+///  - Sparse: per-node adjacency only. addEdge appends both directions,
+///    duplicates included; `finalize()` sorts and uniques each list once,
+///    after which `interfere` is a binary search of the shorter endpoint's
+///    list. Memory and build time scale with V plus the edge attempts.
 ///
-/// Auto policy picks Dense below DenseNodeThreshold nodes and Sparse above
+/// Auto policy picks Dense up to DenseNodeThreshold nodes and Sparse above
 /// it, so per-function cost scales with V+E instead of V^2 on large
-/// functions. Both representations expose *identical* adjacency: finalize()
-/// canonicalizes neighbor lists to ascending order (build() and the graph
-/// reconstructor finalize for you), so every consumer — Simplifier,
-/// Coalescer, GraphReconstructor, CBHAllocator, AllocationVerifier — is
-/// representation-agnostic and allocation results are bit-identical under
-/// every policy.
+/// functions.
+///
+/// Contract: adjacency (`neighbors`, `degree`, `numEdges`) is read only
+/// from a finalized graph; `interfere` is correct at any time. build() and
+/// the graph reconstructor finalize before returning, so every consumer —
+/// Simplifier, Coalescer, GraphReconstructor, CBHAllocator,
+/// AllocationVerifier — sees canonical ascending adjacency that is
+/// identical under both representations, and allocation results are
+/// bit-identical under every policy.
 ///
 /// Copy instructions get the classic Chaitin special case: at "move d <- s"
 /// no edge is added between d and s, which is what makes them coalescable.
@@ -37,7 +43,7 @@
 #include "regalloc/LiveRange.h"
 #include "support/BitVector.h"
 
-#include <unordered_set>
+#include <cassert>
 #include <vector>
 
 namespace ccra {
@@ -55,27 +61,37 @@ public:
 
   InterferenceGraph() = default;
   /// \p Scratch, when given, donates recycled buffer capacity (adjacency
-  /// lists, matrix words, edge-set buckets) instead of fresh allocations.
+  /// lists, matrix words) instead of fresh allocations. A new graph has no
+  /// edges and counts as finalized.
   explicit InterferenceGraph(unsigned NumNodes,
                              GraphRep Policy = GraphRep::Auto,
                              AllocationScratch *Scratch = nullptr);
 
   unsigned numNodes() const { return static_cast<unsigned>(Adj.size()); }
 
-  /// Adds an undirected edge (idempotent, ignores self loops).
+  /// Adds an undirected edge (idempotent, ignores self loops). The edge
+  /// shows in the adjacency once the graph is finalized again.
   void addEdge(unsigned A, unsigned B);
 
+  /// Whether A and B interfere; correct before and after finalize().
   bool interfere(unsigned A, unsigned B) const;
 
+  /// Neighbours of \p Node in ascending order. Finalized graphs only.
   const std::vector<unsigned> &neighbors(unsigned Node) const {
+    assert(Finalized && "adjacency read before finalize()");
     return Adj[Node];
   }
+  /// Finalized graphs only.
   unsigned degree(unsigned Node) const {
+    assert(Finalized && "degree read before finalize()");
     return static_cast<unsigned>(Adj[Node].size());
   }
 
-  /// Total number of undirected edges. O(1): addEdge maintains the count.
-  size_t numEdges() const { return NumEdges; }
+  /// Total number of undirected edges. Finalized graphs only.
+  size_t numEdges() const {
+    assert(Finalized && "edge count read before finalize()");
+    return NumEdges;
+  }
 
   /// The policy this graph was created with (Auto/Dense/Sparse); the graph
   /// reconstructor propagates it so a forced representation survives spill
@@ -86,16 +102,15 @@ public:
     return Dense ? GraphRep::Dense : GraphRep::Sparse;
   }
 
-  /// Canonicalizes the adjacency lists to ascending node order (identical
-  /// across representations) and, in sparse mode, releases the build-time
-  /// edge hash set in favor of binary-search `interfere`. Idempotent.
-  /// Queries work before and after; addEdge after finalize transparently
-  /// re-opens the build state. \p S, when given, receives the released
-  /// sparse edge-set buckets for the next build.
-  void finalize(AllocationScratch *S = nullptr);
+  /// Makes the adjacency readable: dense graphs emit the lists from the
+  /// matrix bits, sparse graphs sort and unique the appended lists. Either
+  /// way every list ends up ascending and duplicate-free, identical across
+  /// representations. Idempotent; addEdge after finalize re-opens the
+  /// graph until the next finalize.
+  void finalize();
 
   /// Approximate heap bytes held by the graph (adjacency capacity, matrix
-  /// words, edge-set buckets) — feeds the alloc.peak_graph_bytes counter.
+  /// words) — feeds the alloc.peak_graph_bytes counter.
   size_t memoryBytes() const;
 
   /// Returns the internal buffers' capacity to \p S so the next graph built
@@ -112,34 +127,28 @@ public:
                                  AllocationScratch *Scratch = nullptr,
                                  GraphRep Policy = GraphRep::Auto);
 
-  /// Adds every interference edge arising within \p BB (given its live-out
-  /// set) to \p IG. Idempotent; the incremental graph reconstruction uses
-  /// it to rescan only the blocks spill code touched. \p Scratch, when
-  /// given, supplies the scan buffers instead of per-call allocations.
-  static void scanBlockForEdges(const Function &F, const BasicBlock &BB,
-                                const BitVector &LiveOut,
-                                const LiveRangeSet &LRS,
-                                InterferenceGraph &IG,
-                                AllocationScratch *Scratch = nullptr);
+  /// Adds every interference edge arising within \p Blocks (each scanned
+  /// backward from its live-out set in \p LV) to \p IG, leaving it
+  /// unfinalized. Idempotent once finalized; build() scans every block,
+  /// the incremental graph reconstruction only the blocks spill code
+  /// touched. A def visits only the live ranges of its own register bank.
+  /// \p Scratch, when given, supplies the scan buffers instead of per-call
+  /// allocations.
+  static void scanBlocksForEdges(const Function &F,
+                                 const std::vector<const BasicBlock *> &Blocks,
+                                 const Liveness &LV, const LiveRangeSet &LRS,
+                                 InterferenceGraph &IG,
+                                 AllocationScratch *Scratch = nullptr);
 
 private:
   size_t matrixIndex(unsigned A, unsigned B) const;
-  static uint64_t edgeKey(unsigned A, unsigned B) {
-    if (A > B)
-      std::swap(A, B);
-    return (static_cast<uint64_t>(A) << 32) | B;
-  }
-  /// Sparse mode: rebuilds EdgeSet from the adjacency lists (used when
-  /// addEdge is called on a finalized graph).
-  void reopenEdgeSet();
 
   std::vector<std::vector<unsigned>> Adj;
-  BitVector Matrix;                    // dense: strict lower triangle
-  std::unordered_set<uint64_t> EdgeSet; // sparse: dedup until finalize()
+  BitVector Matrix; // dense: strict lower triangle
   size_t NumEdges = 0;
   GraphRep Policy = GraphRep::Auto;
   bool Dense = true;
-  bool Finalized = false;
+  bool Finalized = true;
 };
 
 } // namespace ccra

@@ -20,6 +20,7 @@
 #ifndef CCRA_SUPPORT_BITVECTOR_H
 #define CCRA_SUPPORT_BITVECTOR_H
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -100,6 +101,14 @@ public:
 
   bool operator==(const BitVector &Other) const {
     return NumBits == Other.NumBits && Words == Other.Words;
+  }
+
+  /// Calls \p Visit with the index of every set bit, in ascending order: the
+  /// word-at-a-time equivalent of iterating begin()..end().
+  template <typename Fn> void forEachSetBit(Fn &&Visit) const {
+    for (size_t W = 0; W < Words.size(); ++W)
+      for (uint64_t Word = Words[W]; Word != 0; Word &= Word - 1)
+        Visit(W * BitsPerWord + static_cast<size_t>(std::countr_zero(Word)));
   }
 
   /// Appends the index of every set bit to \p Out.

@@ -2,6 +2,7 @@
 
 #include "analysis/Frequency.h"
 #include "analysis/Liveness.h"
+#include "core/EngineBuilder.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "regalloc/Coalescer.h"
@@ -9,6 +10,7 @@
 #include "regalloc/LiveRange.h"
 #include "regalloc/VRegClasses.h"
 #include "target/MachineDescription.h"
+#include "workloads/FuzzGen.h"
 #include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
@@ -277,6 +279,28 @@ TEST(CoalescerTest, FloatMovesCoalesceToo) {
   B.buildRet(R);
   CoalesceStats Stats = Fx.run();
   EXPECT_EQ(Stats.CoalescedMoves, 1u);
+}
+
+TEST(CoalescerTest, AggressiveModeKeepsBriggsTestForReloadTemps) {
+  // Aggressive coalescing once merged a reload temporary into a long
+  // class; the unspillable result could then be neither colored nor
+  // spilled, and allocation aborted. Copies touching a NoSpill range must
+  // still pass the Briggs test.
+  FuzzGenParams P;
+  P.Seed = 2;
+  P.Profile = FuzzProfile::BankMix;
+  P.SizeScale = 1;
+  std::unique_ptr<Module> M = generateFuzzModule(P);
+  FrequencyInfo Freq = FrequencyInfo::compute(*M, FrequencyMode::Static);
+  AllocatorOptions Opts = improvedOptions();
+  Opts.AggressiveCoalescing = true;
+  Opts.VerifyReportOnly = true;
+  AllocationEngine Engine =
+      EngineBuilder(RegisterConfig(4, 2, 2, 1)).options(Opts).build();
+  ModuleAllocationResult R = Engine.allocateModule(*M, Freq);
+  ASSERT_FALSE(R.PerFunction.empty());
+  for (const auto &[F, FA] : R.PerFunction)
+    EXPECT_TRUE(FA.VerifyErrors.empty()) << F->getName();
 }
 
 } // namespace

@@ -19,18 +19,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 using namespace ccra;
 
 namespace {
 
-std::set<std::pair<unsigned, unsigned>> edgeSet(const InterferenceGraph &IG) {
-  std::set<std::pair<unsigned, unsigned>> Edges;
-  for (unsigned A = 0; A < IG.numNodes(); ++A)
-    for (unsigned B : IG.neighbors(A))
-      Edges.insert({std::min(A, B), std::max(A, B)});
-  return Edges;
+const GraphRep BothReps[] = {GraphRep::Dense, GraphRep::Sparse};
+
+const char *repName(GraphRep Rep) {
+  return Rep == GraphRep::Dense ? "dense" : "sparse";
+}
+
+/// The patched graph must equal the fresh one exactly: same representation
+/// and the same ascending neighbour list at every node.
+void expectSameGraph(const InterferenceGraph &Patched,
+                     const InterferenceGraph &Fresh) {
+  EXPECT_EQ(Patched.activeRep(), Fresh.activeRep());
+  ASSERT_EQ(Patched.numNodes(), Fresh.numNodes());
+  EXPECT_EQ(Patched.numEdges(), Fresh.numEdges());
+  for (unsigned A = 0; A < Patched.numNodes(); ++A)
+    EXPECT_EQ(Patched.neighbors(A), Fresh.neighbors(A)) << "node " << A;
 }
 
 void expectSameRanges(const LiveRangeSet &Patched, const LiveRangeSet &Fresh,
@@ -57,106 +65,115 @@ void expectSameRanges(const LiveRangeSet &Patched, const LiveRangeSet &Fresh,
 /// Builds a copy-free function with a call and pressure, spills one class,
 /// and compares patched state against freshly computed state.
 TEST(GraphReconstruction, MatchesFromScratchOnHandBuiltFunction) {
-  Module M("m");
-  Function *Leaf = M.createFunction("leaf");
-  {
-    IRBuilder B(*Leaf);
+  for (GraphRep Rep : BothReps) {
+    SCOPED_TRACE(repName(Rep));
+    Module M("m");
+    Function *Leaf = M.createFunction("leaf");
+    {
+      IRBuilder B(*Leaf);
+      B.startBlock("entry");
+      B.buildRet();
+    }
+    Function &F = *M.createFunction("main");
+    IRBuilder B(F);
     B.startBlock("entry");
-    B.buildRet();
+    std::vector<VirtReg> Pool;
+    for (int I = 0; I < 5; ++I)
+      Pool.push_back(B.buildLoadImm(I));
+    B.buildCall(Leaf, {});
+    BasicBlock *Next = F.createBlock("next");
+    B.buildBr(Next);
+    B.setInsertBlock(Next);
+    VirtReg Acc = Pool[0];
+    for (int I = 1; I < 5; ++I)
+      Acc = B.buildBinary(Opcode::Add, Acc, Pool[static_cast<size_t>(I)]);
+    B.buildRet(Acc);
+    M.setEntryFunction(&F);
+
+    FrequencyInfo Freq = FrequencyInfo::compute(M, FrequencyMode::Profile);
+    VRegClasses Classes(F.numVRegs());
+    Liveness LV = Liveness::compute(F);
+    LiveRangeSet LRS = LiveRangeSet::build(F, LV, Freq, Classes);
+    InterferenceGraph IG = InterferenceGraph::build(F, LV, LRS, nullptr, Rep);
+
+    // Spill Pool[1]'s live range.
+    unsigned SpilledId = static_cast<unsigned>(LRS.rangeIdOf(Pool[1]));
+    unsigned OldNumVRegs = F.numVRegs();
+    SpillCodeInserter::run(F, {{Pool[1]}});
+
+    Classes.grow(F.numVRegs());
+    GraphReconstructor::apply(F, Freq, LV, LRS, IG, {SpilledId}, OldNumVRegs);
+
+    Liveness FreshLV = Liveness::compute(F);
+    LiveRangeSet FreshLRS = LiveRangeSet::build(F, FreshLV, Freq, Classes);
+    InterferenceGraph FreshIG =
+        InterferenceGraph::build(F, FreshLV, FreshLRS, nullptr, Rep);
+
+    expectSameRanges(LRS, FreshLRS, F.numVRegs());
+    expectSameGraph(IG, FreshIG);
+    for (const auto &BB : F.blocks()) {
+      EXPECT_TRUE(LV.liveIn(*BB) == FreshLV.liveIn(*BB)) << BB->getName();
+      EXPECT_TRUE(LV.liveOut(*BB) == FreshLV.liveOut(*BB)) << BB->getName();
+    }
+    EXPECT_EQ(LRS.callSites().size(), FreshLRS.callSites().size());
   }
-  Function &F = *M.createFunction("main");
-  IRBuilder B(F);
-  B.startBlock("entry");
-  std::vector<VirtReg> Pool;
-  for (int I = 0; I < 5; ++I)
-    Pool.push_back(B.buildLoadImm(I));
-  B.buildCall(Leaf, {});
-  BasicBlock *Next = F.createBlock("next");
-  B.buildBr(Next);
-  B.setInsertBlock(Next);
-  VirtReg Acc = Pool[0];
-  for (int I = 1; I < 5; ++I)
-    Acc = B.buildBinary(Opcode::Add, Acc, Pool[static_cast<size_t>(I)]);
-  B.buildRet(Acc);
-  M.setEntryFunction(&F);
-
-  FrequencyInfo Freq = FrequencyInfo::compute(M, FrequencyMode::Profile);
-  VRegClasses Classes(F.numVRegs());
-  Liveness LV = Liveness::compute(F);
-  LiveRangeSet LRS = LiveRangeSet::build(F, LV, Freq, Classes);
-  InterferenceGraph IG = InterferenceGraph::build(F, LV, LRS);
-
-  // Spill Pool[1]'s live range.
-  unsigned SpilledId = static_cast<unsigned>(LRS.rangeIdOf(Pool[1]));
-  unsigned OldNumVRegs = F.numVRegs();
-  SpillCodeInserter::run(F, {{Pool[1]}});
-
-  Classes.grow(F.numVRegs());
-  GraphReconstructor::apply(F, Freq, LV, LRS, IG, {SpilledId}, OldNumVRegs);
-
-  Liveness FreshLV = Liveness::compute(F);
-  LiveRangeSet FreshLRS = LiveRangeSet::build(F, FreshLV, Freq, Classes);
-  InterferenceGraph FreshIG = InterferenceGraph::build(F, FreshLV, FreshLRS);
-
-  expectSameRanges(LRS, FreshLRS, F.numVRegs());
-  EXPECT_EQ(edgeSet(IG), edgeSet(FreshIG));
-  for (const auto &BB : F.blocks()) {
-    EXPECT_TRUE(LV.liveIn(*BB) == FreshLV.liveIn(*BB)) << BB->getName();
-    EXPECT_TRUE(LV.liveOut(*BB) == FreshLV.liveOut(*BB)) << BB->getName();
-  }
-  EXPECT_EQ(LRS.callSites().size(), FreshLRS.callSites().size());
 }
 
 TEST(GraphReconstruction, MatchesFromScratchOnRandomPrograms) {
-  for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
-    SCOPED_TRACE(Seed);
-    RandomProgramParams Params;
-    Params.Seed = Seed;
-    Params.UseMoves = false; // copy-free, the exactness precondition
-    std::unique_ptr<Module> M = generateRandomProgram(Params);
-    FrequencyInfo Freq = FrequencyInfo::compute(*M, FrequencyMode::Profile);
+  for (GraphRep Rep : BothReps) {
+    SCOPED_TRACE(repName(Rep));
+    for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
+      SCOPED_TRACE(Seed);
+      RandomProgramParams Params;
+      Params.Seed = Seed;
+      Params.UseMoves = false; // copy-free, the exactness precondition
+      std::unique_ptr<Module> M = generateRandomProgram(Params);
+      FrequencyInfo Freq = FrequencyInfo::compute(*M, FrequencyMode::Profile);
 
-    for (const auto &FPtr : M->functions()) {
-      Function &F = *FPtr;
-      if (F.isDeclaration())
-        continue;
-      ASSERT_TRUE(GraphReconstructor::hasNoCopies(F));
-      VRegClasses Classes(F.numVRegs());
-      Liveness LV = Liveness::compute(F);
-      LiveRangeSet LRS = LiveRangeSet::build(F, LV, Freq, Classes);
-      InterferenceGraph IG = InterferenceGraph::build(F, LV, LRS);
-      if (LRS.numRanges() < 3)
-        continue;
+      for (const auto &FPtr : M->functions()) {
+        Function &F = *FPtr;
+        if (F.isDeclaration())
+          continue;
+        ASSERT_TRUE(GraphReconstructor::hasNoCopies(F));
+        VRegClasses Classes(F.numVRegs());
+        Liveness LV = Liveness::compute(F);
+        LiveRangeSet LRS = LiveRangeSet::build(F, LV, Freq, Classes);
+        InterferenceGraph IG =
+            InterferenceGraph::build(F, LV, LRS, nullptr, Rep);
+        if (LRS.numRanges() < 3)
+          continue;
 
-      // Spill the two highest-degree spillable ranges.
-      std::vector<unsigned> ByDegree;
-      for (unsigned I = 0; I < LRS.numRanges(); ++I)
-        if (!LRS.range(I).NoSpill)
-          ByDegree.push_back(I);
-      std::sort(ByDegree.begin(), ByDegree.end(),
-                [&](unsigned A, unsigned B) {
-                  return IG.degree(A) > IG.degree(B);
-                });
-      ByDegree.resize(std::min<size_t>(2, ByDegree.size()));
+        // Spill the two highest-degree spillable ranges.
+        std::vector<unsigned> ByDegree;
+        for (unsigned I = 0; I < LRS.numRanges(); ++I)
+          if (!LRS.range(I).NoSpill)
+            ByDegree.push_back(I);
+        std::sort(ByDegree.begin(), ByDegree.end(),
+                  [&](unsigned A, unsigned B) {
+                    return IG.degree(A) > IG.degree(B);
+                  });
+        ByDegree.resize(std::min<size_t>(2, ByDegree.size()));
 
-      std::vector<std::vector<VirtReg>> SpillClasses;
-      for (unsigned Id : ByDegree) {
-        std::vector<VirtReg> Members;
-        for (unsigned V = 0; V < F.numVRegs(); ++V)
-          if (LRS.rangeIdOf(VirtReg(V)) == static_cast<int>(Id))
-            Members.push_back(VirtReg(V));
-        SpillClasses.push_back(std::move(Members));
+        std::vector<std::vector<VirtReg>> SpillClasses;
+        for (unsigned Id : ByDegree) {
+          std::vector<VirtReg> Members;
+          for (unsigned V = 0; V < F.numVRegs(); ++V)
+            if (LRS.rangeIdOf(VirtReg(V)) == static_cast<int>(Id))
+              Members.push_back(VirtReg(V));
+          SpillClasses.push_back(std::move(Members));
+        }
+        unsigned OldNumVRegs = F.numVRegs();
+        SpillCodeInserter::run(F, SpillClasses);
+        Classes.grow(F.numVRegs());
+        GraphReconstructor::apply(F, Freq, LV, LRS, IG, ByDegree, OldNumVRegs);
+
+        Liveness FreshLV = Liveness::compute(F);
+        LiveRangeSet FreshLRS = LiveRangeSet::build(F, FreshLV, Freq, Classes);
+        InterferenceGraph FreshIG =
+            InterferenceGraph::build(F, FreshLV, FreshLRS, nullptr, Rep);
+        expectSameRanges(LRS, FreshLRS, F.numVRegs());
+        expectSameGraph(IG, FreshIG);
       }
-      unsigned OldNumVRegs = F.numVRegs();
-      SpillCodeInserter::run(F, SpillClasses);
-      Classes.grow(F.numVRegs());
-      GraphReconstructor::apply(F, Freq, LV, LRS, IG, ByDegree, OldNumVRegs);
-
-      Liveness FreshLV = Liveness::compute(F);
-      LiveRangeSet FreshLRS = LiveRangeSet::build(F, FreshLV, Freq, Classes);
-      InterferenceGraph FreshIG = InterferenceGraph::build(F, FreshLV, FreshLRS);
-      expectSameRanges(LRS, FreshLRS, F.numVRegs());
-      EXPECT_EQ(edgeSet(IG), edgeSet(FreshIG));
     }
   }
 }

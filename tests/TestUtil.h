@@ -66,6 +66,7 @@ public:
     Ctx->IG = InterferenceGraph(Ctx->LRS.numRanges());
     for (auto [A, B] : Edges)
       Ctx->IG.addEdge(A, B);
+    Ctx->IG.finalize();
     return *Ctx;
   }
 
