@@ -115,6 +115,10 @@ TEST(BitVector, FindNextAndIteration) {
   for (unsigned Bit : BV)
     Bits.push_back(Bit);
   EXPECT_EQ(Bits, (std::vector<unsigned>{0, 64, 199}));
+
+  std::vector<size_t> Visited;
+  BV.forEachSetBit([&](size_t Bit) { Visited.push_back(Bit); });
+  EXPECT_EQ(Visited, (std::vector<size_t>{0, 64, 199}));
 }
 
 TEST(BitVector, CollectSetBits) {
