@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 using namespace ccra;
 
@@ -22,8 +23,9 @@ namespace {
 constexpr double StaticBackEdgeProbability = 0.9;
 
 /// Returns the per-edge probabilities of \p BB under \p Mode.
+/// \p LI is only built, and only read, in Static mode (null in Profile).
 std::vector<double> edgeProbabilities(const BasicBlock &BB,
-                                      const LoopInfo &LI,
+                                      const LoopInfo *LI,
                                       FrequencyMode Mode) {
   const auto &Succs = BB.successors();
   std::vector<double> Probs(Succs.size(), 0.0);
@@ -42,12 +44,13 @@ std::vector<double> edgeProbabilities(const BasicBlock &BB,
     Probs[0] = 1.0;
     return Probs;
   }
+  assert(LI && "static estimates need loop info");
   bool HasBackEdge = false;
   for (const CfgEdge &E : Succs)
-    HasBackEdge |= LI.isBackEdge(&BB, E.Succ);
+    HasBackEdge |= LI->isBackEdge(&BB, E.Succ);
   for (size_t I = 0; I < Succs.size(); ++I) {
     if (HasBackEdge)
-      Probs[I] = LI.isBackEdge(&BB, Succs[I].Succ)
+      Probs[I] = LI->isBackEdge(&BB, Succs[I].Succ)
                      ? StaticBackEdgeProbability
                      : (1.0 - StaticBackEdgeProbability);
     else
@@ -70,14 +73,17 @@ ccra::computeRelativeBlockFrequencies(const Function &F, FrequencyMode Mode) {
   if (F.isDeclaration())
     return Freq;
 
-  DominatorTree DT = DominatorTree::compute(F);
-  LoopInfo LI = LoopInfo::compute(F, DT);
+  // Only the static heuristic reads back edges; profiles carry their own
+  // probabilities, so Profile mode skips dominators and loops entirely.
+  std::optional<LoopInfo> LI;
+  if (Mode == FrequencyMode::Static)
+    LI = LoopInfo::compute(F, DominatorTree::compute(F));
   std::vector<BasicBlock *> Rpo = computeReversePostOrder(F);
 
   // Pre-compute edge probabilities once.
   std::vector<std::vector<double>> Probs(F.numBlocks());
   for (BasicBlock *BB : Rpo)
-    Probs[BB->getId()] = edgeProbabilities(*BB, LI, Mode);
+    Probs[BB->getId()] = edgeProbabilities(*BB, LI ? &*LI : nullptr, Mode);
 
   // The frequencies satisfy the linear system
   //   freq(b) = [b == entry] + sum over preds p of freq(p) * prob(p -> b),
@@ -146,34 +152,63 @@ FrequencyInfo FrequencyInfo::compute(const Module &M, FrequencyMode Mode,
   FrequencyInfo Info;
   Info.Mode = Mode;
 
-  for (const auto &F : M.functions()) {
-    FunctionFrequencies FF;
+  const auto &Functions = M.functions();
+  std::unordered_map<const Function *, size_t> IndexOf;
+  std::vector<FunctionFrequencies *> ByIndex(Functions.size());
+  for (size_t I = 0; I < Functions.size(); ++I) {
+    const Function *F = Functions[I].get();
+    IndexOf[F] = I;
+    FunctionFrequencies &FF = Info.PerFunction[F];
     FF.RelativeBlockFreq = computeRelativeBlockFrequencies(*F, Mode);
-    Info.PerFunction[F.get()] = std::move(FF);
+    ByIndex[I] = &FF; // unordered_map nodes never move
+  }
+
+  // Each callee's incoming call sites, gathered in one walk over the
+  // bodies in (function, block, instruction) order. A site keeps its
+  // caller's record, whose EntryFreq the passes below update in place,
+  // and the relative frequency of its block.
+  struct CallSite {
+    const FunctionFrequencies *Caller;
+    double RelFreq;
+  };
+  std::vector<std::vector<CallSite>> CallSitesOf(Functions.size());
+  for (size_t I = 0; I < Functions.size(); ++I) {
+    const FunctionFrequencies &FF = *ByIndex[I];
+    for (const auto &BB : Functions[I]->blocks())
+      for (const Instruction &Inst : BB->instructions()) {
+        if (!Inst.isCall())
+          continue;
+        auto It = IndexOf.find(Inst.Callee);
+        if (It != IndexOf.end())
+          CallSitesOf[It->second].push_back(
+              {&FF, FF.RelativeBlockFreq[BB->getId()]});
+      }
   }
 
   // Interprocedural invocation counts: iterate the call-graph equations
   //   inv(G) = [G == entry] * EntryInvocations
   //          + sum over call sites c in F targeting G of
-  //              relFreq(block(c)) * inv(F).
-  // The workloads' call graphs are DAGs, so this converges in at most
-  // #functions passes; the cap guards against accidental recursion.
+  //              relFreq(block(c)) * inv(F)
+  // in Gauss-Seidel order: callees in module order, each reading the
+  // counts already updated earlier in the same pass. One pass costs
+  // O(#call sites). An acyclic call graph converges within #functions
+  // passes, but the call graphs are not always acyclic: ackermann,
+  // binsearch, fib, gcd_lcm, power, queens and quick_sort in
+  // examples/corpus_c are recursive and run all #functions + 8 passes in
+  // both modes without converging. Their entry frequencies are partial
+  // sums that depend on the cap (static quick_sort gets 11, one more per
+  // pass; dynamic fib_rec about 171). A solve that handles recursion
+  // would change their allocations, so the cap stays as it is.
   const Function *Entry = M.getEntryFunction();
-  const int MaxPasses = static_cast<int>(M.functions().size()) + 8;
+  const int MaxPasses = static_cast<int>(Functions.size()) + 8;
   for (int Pass = 0; Pass < MaxPasses; ++Pass) {
     bool Changed = false;
-    for (const auto &G : M.functions()) {
-      double NewInv = (G.get() == Entry) ? EntryInvocations : 0.0;
-      for (const auto &F : M.functions()) {
-        if (F->isDeclaration())
-          continue;
-        const FunctionFrequencies &FF = Info.PerFunction[F.get()];
-        for (const auto &BB : F->blocks())
-          for (const Instruction &I : BB->instructions())
-            if (I.isCall() && I.Callee == G.get())
-              NewInv += FF.RelativeBlockFreq[BB->getId()] * FF.EntryFreq;
-      }
-      FunctionFrequencies &GF = Info.PerFunction[G.get()];
+    for (size_t G = 0; G < Functions.size(); ++G) {
+      double NewInv =
+          (Functions[G].get() == Entry) ? EntryInvocations : 0.0;
+      for (const CallSite &Site : CallSitesOf[G])
+        NewInv += Site.RelFreq * Site.Caller->EntryFreq;
+      FunctionFrequencies &GF = *ByIndex[G];
       if (std::abs(NewInv - GF.EntryFreq) >
           1e-9 * std::max(1.0, std::abs(NewInv))) {
         GF.EntryFreq = NewInv;

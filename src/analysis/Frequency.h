@@ -11,9 +11,14 @@
 /// - Profile: the recorded (true) edge probabilities, i.e. what an
 ///   instrumented profiling run would measure on these workloads.
 ///
-/// Within a function, block frequencies are relative to one function entry;
-/// interprocedural propagation over the call graph then scales them by the
-/// function's invocation count (the program entry function runs once).
+/// Within a function, block frequencies are relative to one function entry,
+/// from one linear solve per function; only Static mode builds dominators
+/// and loops, since only its heuristic reads back edges. Interprocedural
+/// propagation over the call graph then scales them by the function's
+/// invocation count (the program entry function runs once). It collects
+/// each callee's incoming call sites once, then iterates to a fixpoint in
+/// which a pass costs O(#call sites), capped at #functions + 8 passes.
+/// Recursive programs stop at that cap with cap-dependent counts.
 ///
 //===----------------------------------------------------------------------===//
 

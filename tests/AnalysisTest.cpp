@@ -6,12 +6,25 @@
 #include "analysis/Frequency.h"
 #include "analysis/Liveness.h"
 #include "analysis/LoopInfo.h"
+#include "frontend/Frontend.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "workloads/FuzzGen.h"
 #include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#ifndef CCRA_SOURCE_DIR
+#define CCRA_SOURCE_DIR "."
+#endif
 
 using namespace ccra;
 
@@ -327,6 +340,156 @@ TEST(Frequency, RemappedToCloneIsBitIdentical) {
         EXPECT_EQ(Remapped.blockFrequency(*BB), Fresh.blockFrequency(*BB));
     }
   }
+}
+
+// Reference propagation: the original fixpoint, which rescans every
+// instruction of every function for calls to each callee in every pass.
+// FrequencyInfo::compute walks per-callee call-site lists instead; the two
+// must agree on every double, since every cost is weighted by them.
+struct ReferenceFrequencies {
+  std::unordered_map<const Function *, std::vector<double>> Relative;
+  std::unordered_map<const Function *, double> Entry;
+};
+
+ReferenceFrequencies referencePropagation(const Module &M, FrequencyMode Mode,
+                                          double EntryInvocations) {
+  ReferenceFrequencies Ref;
+  for (const auto &F : M.functions()) {
+    Ref.Relative[F.get()] = computeRelativeBlockFrequencies(*F, Mode);
+    Ref.Entry[F.get()] = 0.0;
+  }
+  const Function *Entry = M.getEntryFunction();
+  const int MaxPasses = static_cast<int>(M.functions().size()) + 8;
+  for (int Pass = 0; Pass < MaxPasses; ++Pass) {
+    bool Changed = false;
+    for (const auto &G : M.functions()) {
+      double NewInv = (G.get() == Entry) ? EntryInvocations : 0.0;
+      for (const auto &F : M.functions()) {
+        if (F->isDeclaration())
+          continue;
+        const std::vector<double> &Rel = Ref.Relative[F.get()];
+        for (const auto &BB : F->blocks())
+          for (const Instruction &I : BB->instructions())
+            if (I.isCall() && I.Callee == G.get())
+              NewInv += Rel[BB->getId()] * Ref.Entry[F.get()];
+      }
+      double &Old = Ref.Entry[G.get()];
+      if (std::abs(NewInv - Old) > 1e-9 * std::max(1.0, std::abs(NewInv))) {
+        Old = NewInv;
+        Changed = true;
+      }
+    }
+    if (!Changed)
+      break;
+  }
+  return Ref;
+}
+
+/// Checks compute() against the reference bit for bit: every entry
+/// frequency (declarations included) and every block frequency, in both
+/// modes, for one and for fifty program invocations.
+void expectMatchesReference(const Module &M, const std::string &Label) {
+  SCOPED_TRACE(Label);
+  for (FrequencyMode Mode : {FrequencyMode::Static, FrequencyMode::Profile})
+    for (double Invocations : {1.0, 50.0}) {
+      SCOPED_TRACE(std::string(frequencyModeName(Mode)) + " x" +
+                   std::to_string(Invocations));
+      FrequencyInfo Freq = FrequencyInfo::compute(M, Mode, Invocations);
+      ReferenceFrequencies Ref = referencePropagation(M, Mode, Invocations);
+      for (const auto &F : M.functions()) {
+        double EntryFreq = Ref.Entry[F.get()];
+        EXPECT_EQ(Freq.entryFrequency(*F), EntryFreq) << F->getName();
+        const std::vector<double> &Rel = Ref.Relative[F.get()];
+        for (const auto &BB : F->blocks())
+          EXPECT_EQ(Freq.blockFrequency(*BB), Rel[BB->getId()] * EntryFreq)
+              << F->getName() << " block " << BB->getId();
+      }
+    }
+}
+
+TEST(FrequencyPropagation, MatchesReferenceOnCallDenseFuzzModules) {
+  for (unsigned Scale : {4u, 8u, 16u}) {
+    FuzzGenParams Params;
+    Params.Seed = 1;
+    Params.Profile = FuzzProfile::CallDense;
+    Params.SizeScale = Scale;
+    auto M = generateFuzzModule(Params);
+    expectMatchesReference(*M, "call-dense scale " + std::to_string(Scale));
+  }
+}
+
+// The corpus includes recursive programs (quick_sort, fib, ackermann, ...)
+// whose fixpoint never converges and stops at the pass cap, so this also
+// pins the pass order and the cap.
+TEST(FrequencyPropagation, MatchesReferenceOnCCorpus) {
+  std::vector<std::string> Paths;
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           std::string(CCRA_SOURCE_DIR) + "/examples/corpus_c"))
+    if (Entry.path().extension() == ".c")
+      Paths.push_back(Entry.path().string());
+  std::sort(Paths.begin(), Paths.end());
+  ASSERT_EQ(Paths.size(), 20u);
+  for (const std::string &Path : Paths) {
+    CompileResult R = Frontend::compileFile(Path);
+    ASSERT_TRUE(R.ok()) << Path;
+    expectMatchesReference(*R.M, Path);
+  }
+}
+
+TEST(FrequencyPropagation, MatchesReferenceOnRandomPrograms) {
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
+    RandomProgramParams Params;
+    Params.Seed = Seed;
+    Params.NumFunctions = 2 + Seed % 5;
+    Params.CallProbability = 0.6;
+    auto M = generateRandomProgram(Params);
+    expectMatchesReference(*M, "random seed " + std::to_string(Seed));
+  }
+}
+
+// Call sites the per-callee lists must still count exactly as the rescan
+// did: a call to a declaration, two calls to one callee from one block
+// (summed in instruction order), and a call in an unreachable block
+// (relative frequency 0).
+TEST(FrequencyPropagation, MatchesReferenceOnEdgeCaseCallSites) {
+  Module M("m");
+  Function *Ext = M.createFunction("ext"); // declaration: no blocks
+  Function *Leaf = M.createFunction("leaf");
+  {
+    IRBuilder B(*Leaf);
+    B.startBlock("entry");
+    B.buildCall(Ext, {});
+    B.buildRet();
+  }
+  Function *MainF = M.createFunction("main");
+  {
+    IRBuilder B(*MainF);
+    B.startBlock("entry");
+    VirtReg V = B.buildLoadImm(1);
+    BasicBlock *H = MainF->createBlock("loop");
+    B.buildBr(H);
+    B.setInsertBlock(H);
+    B.buildCall(Leaf, {});
+    B.buildCall(Leaf, {});
+    B.buildCall(Ext, {});
+    VirtReg C = B.buildCmp(V, V);
+    BasicBlock *Exit = MainF->createBlock("exit");
+    B.buildCondBr(C, H, Exit, 0.7);
+    B.setInsertBlock(Exit);
+    B.buildRet(V);
+    BasicBlock *Dead = MainF->createBlock("dead");
+    B.setInsertBlock(Dead);
+    B.buildCall(Leaf, {});
+    B.buildBr(Exit);
+  }
+  M.setEntryFunction(MainF);
+  ASSERT_TRUE(Ext->isDeclaration());
+  expectMatchesReference(M, "edge-case call sites");
+
+  FrequencyInfo Freq = FrequencyInfo::compute(M, FrequencyMode::Static);
+  EXPECT_EQ(Freq.entryFrequency(*MainF), 1.0);
+  EXPECT_GT(Freq.entryFrequency(*Leaf), 0.0);
+  EXPECT_GT(Freq.entryFrequency(*Ext), Freq.entryFrequency(*Leaf));
 }
 
 // One compute per key, hits afterwards, and the cached baseline liveness

@@ -17,7 +17,9 @@
 # produce a nonzero hit rate with every response still bit-identical),
 # then the soak (bench/perf_service) whose every valid response must be
 # bit-identical to in-process allocation and whose Zipf phase must clear
-# 100x the committed pre-cache baseline.
+# 100x the committed pre-cache baseline; and last, the benchmark's own
+# output and trace checks (ccrabench/run.py on cc-compile and large-fn),
+# as in CI.
 #
 # Usage: tools/check.sh [extra cmake args...]
 #   JOBS=N   parallel build jobs (default: nproc)
@@ -100,5 +102,14 @@ tools/bench_gate --baseline BENCH_service.json \
       --fresh build-release/BENCH_service.json
 tools/bench_gate --baseline BENCH_grid.json \
       --fresh build-release/BENCH_grid.json
+
+echo "== Benchmark output and trace checks (ccrabench, Release) =="
+# The same stage CI runs: every operation's output must match its
+# reference bit for bit, and the traced run must pass its span
+# self-check. run.py builds its own Release binary and exits non-zero
+# otherwise.
+for w in cc-compile large-fn; do
+  python3 ccrabench/run.py --workload "$w" --seed 7 --seconds 5 --trace 1
+done
 
 echo "check.sh: all green"
