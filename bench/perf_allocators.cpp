@@ -106,32 +106,6 @@ BENCHMARK(BM_AllocateImproved);
 BENCHMARK(BM_AllocatePriority);
 BENCHMARK(BM_AllocateCBH);
 
-void BM_ReconstructionOnOff(benchmark::State &State) {
-  // Compile-time value of graph reconstruction (paper §2): same
-  // high-pressure allocation with incremental patching on vs off.
-  RandomProgramParams Params;
-  Params.Seed = 99;
-  Params.UseMoves = false;
-  Params.IntValues = 14;
-  Params.FloatValues = 8;
-  Params.RegionsPerFunction = 8;
-  auto M = generateRandomProgram(Params);
-  AllocatorOptions Opts = improvedOptions();
-  Opts.IncrementalReconstruction = State.range(0) != 0;
-  for (auto _ : State) {
-    (void)_;
-    auto Clone = cloneModule(*M);
-    FrequencyInfo Freq =
-        FrequencyInfo::compute(*Clone, FrequencyMode::Profile);
-    AllocationEngine Engine = EngineBuilder(RegisterConfig(6, 4, 1, 1))
-                                  .options(Opts)
-                                  .build();
-    benchmark::DoNotOptimize(Engine.allocateModule(*Clone, Freq));
-  }
-  State.SetLabel(State.range(0) ? "incremental" : "from-scratch");
-}
-BENCHMARK(BM_ReconstructionOnOff)->Arg(0)->Arg(1);
-
 void BM_AllocateModuleJobs(benchmark::State &State) {
   // Scaling of the parallel engine across a many-function module. Jobs=1
   // is the serial baseline; results are bit-identical at every setting

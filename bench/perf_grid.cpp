@@ -2,21 +2,15 @@
 //
 // Measures the wall-clock throughput of a register-configuration sweep —
 // the shape of every reproduction figure — with and without the shared
-// infrastructure this library's grid path uses:
+// infrastructure this library's grid path uses. Both arms run the same
+// allocator options; only the harness differs:
 //
-//   legacy:    per-point frequency/liveness recomputation, per-pass
-//              liveness recomputation in the coalescer, per-use scratch
-//              allocations, a private (nested) pool per engine, the dense
-//              bit-matrix interference graph, and the O(V^2) reference
-//              simplifier — the pre-optimization execution model, selected
-//              via AllocatorOptions::IncrementalLiveness/ScratchArenas =
-//              false, GraphMode = Dense, LegacySimplifier = true, and
-//              plain per-spec runExperiment calls.
+//   legacy:    plain per-spec runExperiment calls: per-point frequency and
+//              baseline-liveness computation, no shared analysis cache,
+//              and a private (nested) pool per engine.
 //   optimized: one ModuleAnalysisCache and one shared ThreadPool for the
-//              whole grid (runExperiments), baseline-liveness seeding,
-//              incremental liveness, per-slot scratch arenas,
-//              biggest-function-first task order, the sparse interference
-//              graph, and the worklist simplifier.
+//              whole grid (runExperiments), so every point's round 1 is
+//              seeded from the cached baseline liveness.
 //
 // The two paths must produce bit-identical ExperimentResults; any
 // divergence is a correctness bug and exits non-zero (tools/check.sh runs
@@ -81,46 +75,35 @@ int main(int Argc, char **Argv) {
   // The sweep: every standard register configuration (17) for three of the
   // larger proxies — at least a 24-point grid. Spec.Jobs = 2 gives each
   // point internal function parallelism, which on the legacy path means a
-  // nested pool per engine (the oversubscription this PR removes) and on
-  // the optimized path means nested batches on the one shared pool.
+  // nested pool per engine (oversubscribing the machine) and on the
+  // optimized path means nested batches on the one shared pool.
   std::vector<std::unique_ptr<Module>> Programs;
   for (const char *Name : {"gcc", "espresso", "fpppp"})
     Programs.push_back(buildSpecProxy(Name));
 
-  AllocatorOptions Optimized = improvedOptions();
-  Optimized.Verify = false; // measured elsewhere; keep the loop hot
-  // Force the sparse graph everywhere so the bit-identity gate spans the
-  // representations (Auto would pick Dense at these function sizes).
-  Optimized.GraphMode = GraphRep::Sparse;
-  AllocatorOptions Legacy = Optimized;
-  Legacy.IncrementalLiveness = false;
-  Legacy.ScratchArenas = false;
-  Legacy.LegacySimplifier = true;
-  Legacy.GraphMode = GraphRep::Dense;
+  AllocatorOptions Opts = improvedOptions();
+  Opts.Verify = false; // measured elsewhere; keep the loop hot
 
-  std::vector<ExperimentSpec> LegacySpecs, OptimizedSpecs;
+  std::vector<ExperimentSpec> Specs;
   for (const auto &M : Programs)
-    for (const RegisterConfig &Config : standardConfigSweep()) {
-      LegacySpecs.push_back(
-          {M.get(), Config, Legacy, FrequencyMode::Profile, /*Jobs=*/2});
-      OptimizedSpecs.push_back(
-          {M.get(), Config, Optimized, FrequencyMode::Profile, /*Jobs=*/2});
-    }
+    for (const RegisterConfig &Config : standardConfigSweep())
+      Specs.push_back(
+          {M.get(), Config, Opts, FrequencyMode::Profile, /*Jobs=*/2});
 
   // Warm-up pass (untimed) so both timed runs see hot caches and a
   // faulted-in heap, then best-of-5 wall clock per path (the grids are
   // millisecond-scale, so the minimum is the noise-robust statistic).
-  runLegacyGrid(LegacySpecs, Jobs);
+  runLegacyGrid(Specs, Jobs);
   double LegacySeconds = 1e9, OptimizedSeconds = 1e9;
   std::vector<ExperimentRun> LegacyRuns, OptimizedRuns;
   TelemetrySnapshot GridTelemetry;
   for (int Rep = 0; Rep < 5; ++Rep) {
     auto T0 = std::chrono::steady_clock::now();
-    LegacyRuns = runLegacyGrid(LegacySpecs, Jobs);
+    LegacyRuns = runLegacyGrid(Specs, Jobs);
     LegacySeconds = std::min(LegacySeconds, secondsSince(T0));
 
     auto T1 = std::chrono::steady_clock::now();
-    OptimizedRuns = runExperiments(OptimizedSpecs, Jobs, &GridTelemetry);
+    OptimizedRuns = runExperiments(Specs, Jobs, &GridTelemetry);
     OptimizedSeconds = std::min(OptimizedSeconds, secondsSince(T1));
   }
 
@@ -133,9 +116,9 @@ int main(int Argc, char **Argv) {
       ++Divergences;
     }
 
-  // Invariant gate: with incremental liveness each allocation runs the
-  // full dataflow at most once per round (exactly zero times when the
-  // baseline seed covers round 1).
+  // Invariant gate: each allocation runs the full liveness dataflow at
+  // most once per round (exactly zero times when the baseline seed covers
+  // round 1).
   double Computes = 0, Rounds = 0, CacheHits = 0, ScratchReuses = 0;
   for (const ExperimentRun &Run : OptimizedRuns) {
     auto Count = [&](const char *Key) {
@@ -151,7 +134,7 @@ int main(int Argc, char **Argv) {
 
   double Speedup = OptimizedSeconds > 0 ? LegacySeconds / OptimizedSeconds
                                         : 0.0;
-  std::cout << "== perf_grid: " << LegacySpecs.size()
+  std::cout << "== perf_grid: " << Specs.size()
             << "-point sweep, jobs=" << Jobs << " ==\n"
             << "legacy:     " << TextTable::formatDouble(LegacySeconds, 3)
             << " s\n"
@@ -167,7 +150,7 @@ int main(int Argc, char **Argv) {
 
   std::ofstream Json("BENCH_grid.json");
   Json << "{\n"
-       << "  \"points\": " << LegacySpecs.size() << ",\n"
+       << "  \"points\": " << Specs.size() << ",\n"
        << "  \"jobs\": " << Jobs << ",\n"
        << "  \"legacy_seconds\": " << LegacySeconds << ",\n"
        << "  \"optimized_seconds\": " << OptimizedSeconds << ",\n"

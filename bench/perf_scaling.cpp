@@ -1,29 +1,34 @@
 //===- bench/perf_scaling.cpp - Per-function scaling benchmark ------------===//
 //
-// Measures how one allocation scales with live-range count V: a single
+// Measures how one allocation scales with live-range count V on a single
 // synthetic function per size (staggered overlapping chains — linear-size
 // interval graphs with bounded degree, the shape where sparse adjacency
-// and worklist simplification pay off) is allocated twice per size:
+// and worklist simplification pay off). Per size it times:
 //
-//   reference: the O(V^2) reference simplifier over the dense triangular
-//              bit matrix (LegacySimplifier = true, GraphMode = Dense) —
-//              quadratic time and memory, capped at the size where it
-//              stops being worth the wait.
-//   hybrid:    the worklist simplifier over the shipped Auto policy
-//              (dense matrix up to DenseNodeThreshold nodes, sorted
-//              sparse adjacency above it).
+//   hybrid:    one whole allocation (runExperiment) under the shipped
+//              options — Auto graph (dense matrix up to DenseNodeThreshold
+//              nodes, sorted sparse adjacency above it) and the worklist
+//              simplifier.
+//   simplify:  on one built context, Simplifier::run over the Auto graph
+//              against fuzz/Reference.h's O(V^2) referenceSimplify over
+//              the dense triangular bit matrix — quadratic time and
+//              memory, capped at the size where it stops being worth the
+//              wait.
 //
-// Both arms must produce bit-identical ExperimentResults at every size
-// where both run; any divergence exits non-zero. Per-size wall clock, the
-// alloc.simplify phase timer, and the alloc.peak_graph_bytes high-water
-// mark are printed as a table and written to BENCH_scaling.json, where
-// near-linear growth of the hybrid arm (and the reference arm's quadratic
+// The two simplifiers must return the same stack, spill set and
+// optimistic flags at every size where both run; any divergence exits
+// non-zero. Per-size wall clock, the simplify times and both graphs'
+// memory are printed as a table and written to BENCH_scaling.json, where
+// near-linear growth of the hybrid arm (and the reference's quadratic
 // departure) is the acceptance signal.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
+#include "core/BenefitKeys.h"
+#include "fuzz/Reference.h"
+#include "regalloc/VRegClasses.h"
 #include "workloads/SyntheticBuilder.h"
 
 #include <chrono>
@@ -34,8 +39,9 @@ using namespace ccra;
 
 namespace {
 
-/// Largest size the quadratic reference arm runs at; beyond this only the
-/// hybrid arm is timed (the gate has already covered both arms below).
+/// Largest size the quadratic reference simplifier runs at; beyond this
+/// only the hybrid arm is timed (the gate has already covered both
+/// simplifiers below).
 constexpr unsigned ReferenceCap = 20000;
 
 /// Every value is live across the next OverlapDepth definitions, so node
@@ -55,44 +61,17 @@ std::unique_ptr<Module> buildChainProgram(unsigned NumValues) {
   return M;
 }
 
-struct ArmSample {
-  double Seconds = 0;
-  double SimplifyMs = 0;
-  double PeakGraphBytes = 0;
-  ExperimentResult Result;
-  bool Ran = false;
-};
-
-ArmSample timeArm(const Module &M, const RegisterConfig &Config,
-                  const AllocatorOptions &Opts, int Reps) {
-  ArmSample Sample;
-  Sample.Seconds = 1e9;
+/// Best-of-\p Reps wall clock of \p Run, in seconds.
+template <typename Fn> double bestOf(int Reps, Fn Run) {
+  double Best = 1e9;
   for (int Rep = 0; Rep < Reps; ++Rep) {
     auto T0 = std::chrono::steady_clock::now();
-    ExperimentRun Run =
-        runExperiment({&M, Config, Opts, FrequencyMode::Profile, /*Jobs=*/1});
-    double Seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-            .count();
-    Sample.Seconds = std::min(Sample.Seconds, Seconds);
-    Sample.SimplifyMs = Run.Telemetry.timeMs(telemetry::AllocSimplifyPhase);
-    Sample.PeakGraphBytes = Run.Telemetry.count(telemetry::AllocPeakGraphBytes);
-    Sample.Result = Run.Result;
-    Sample.Ran = true;
+    Run();
+    Best = std::min(Best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - T0)
+                              .count());
   }
-  return Sample;
-}
-
-bool sameResult(const ExperimentResult &A, const ExperimentResult &B) {
-  return A.Costs.Spill == B.Costs.Spill &&
-         A.Costs.CallerSave == B.Costs.CallerSave &&
-         A.Costs.CalleeSave == B.Costs.CalleeSave &&
-         A.Costs.Shuffle == B.Costs.Shuffle &&
-         A.SpilledRanges == B.SpilledRanges &&
-         A.VoluntarySpills == B.VoluntarySpills &&
-         A.CoalescedMoves == B.CoalescedMoves &&
-         A.CalleeRegsPaid == B.CalleeRegsPaid &&
-         A.MaxRounds == B.MaxRounds && A.Cycles == B.Cycles;
+  return Best;
 }
 
 } // namespace
@@ -102,19 +81,19 @@ int main(int Argc, char **Argv) {
 
   const std::vector<unsigned> Sizes = {1000, 2000, 5000, 10000, 20000, 50000};
   // 8 + 8 int registers: clique number 7 fits, so no size ever spills and
-  // both arms stay on the single-round path.
+  // every allocation stays on the single-round path.
   RegisterConfig Config(/*Ri=*/8, /*Rf=*/4, /*Ei=*/8, /*Ef=*/4);
 
   AllocatorOptions Hybrid = improvedOptions();
   Hybrid.Verify = false; // verified by ctest; keep the timing loop hot
-  Hybrid.GraphMode = GraphRep::Auto;
-  AllocatorOptions Reference = Hybrid;
-  Reference.LegacySimplifier = true;
-  Reference.GraphMode = GraphRep::Dense;
+  MachineDescription MD(Config);
+  Simplifier::KeyFn Key = [](const LiveRange &LR) {
+    return benefitSimplificationKey(LR, BenefitKeyStrategy::Delta);
+  };
 
   TextTable Table;
-  Table.setHeader(
-      {"V", "ref s", "hybrid s", "speedup", "simplify ms", "graph MiB"});
+  Table.setHeader({"V", "hybrid s", "ref simplify ms", "simplify ms",
+                   "speedup", "graph MiB", "dense MiB"});
   unsigned Divergences = 0;
   std::ofstream Json("BENCH_scaling.json");
   Json << "{\n  \"sizes\": [";
@@ -123,39 +102,60 @@ int main(int Argc, char **Argv) {
     unsigned V = Sizes[I];
     std::unique_ptr<Module> M = buildChainProgram(V);
     int Reps = V <= 10000 ? 3 : 1;
+    ExperimentRun Run;
+    double HybridSeconds = bestOf(Reps, [&] {
+      Run = runExperiment(
+          {M.get(), Config, Hybrid, FrequencyMode::Profile, /*Jobs=*/1});
+    });
+    double GraphBytes = Run.Telemetry.count(telemetry::AllocPeakGraphBytes);
 
-    ArmSample Hyb = timeArm(*M, Config, Hybrid, Reps);
-    ArmSample Ref;
+    // Both simplifiers on one context: the improved allocator's first
+    // round (delta key, pessimistic), over the Auto and the dense graph.
+    double RefMs = -1, WorklistMs = -1, DenseBytes = -1;
     if (V <= ReferenceCap) {
-      Ref = timeArm(*M, Config, Reference, Reps);
-      if (!sameResult(Ref.Result, Hyb.Result)) {
+      Function &F = *M->functions().front();
+      FrequencyInfo Freq = FrequencyInfo::compute(*M, FrequencyMode::Profile);
+      Liveness LV = Liveness::compute(F);
+      LiveRangeSet LRS =
+          LiveRangeSet::build(F, LV, Freq, VRegClasses(F.numVRegs()));
+      auto Context = [&](GraphRep Rep) {
+        return AllocationContext{F,   MD,  Freq,
+                                 LV,  LRS, InterferenceGraph::build(
+                                               F, LV, LRS, nullptr, Rep),
+                                 Freq.entryFrequency(F), {}};
+      };
+      AllocationContext Auto = Context(GraphRep::Auto);
+      AllocationContext Dense = Context(GraphRep::Dense);
+      DenseBytes = static_cast<double>(Dense.IG.memoryBytes());
+      SimplifyResult Got, Want;
+      auto Worklist = [&] { Got = Simplifier::run(Auto, false, Key); };
+      auto Reference = [&] { Want = referenceSimplify(Dense, false, Key); };
+      WorklistMs = 1e3 * bestOf(Reps, Worklist);
+      RefMs = 1e3 * bestOf(Reps, Reference);
+      if (Got != Want) {
         std::cerr << "DIVERGENCE at V=" << V
-                  << " (reference vs hybrid allocation)\n";
+                  << " (reference vs worklist simplifier)\n";
         ++Divergences;
       }
     }
-
-    double Speedup = Ref.Ran && Hyb.Seconds > 0 ? Ref.Seconds / Hyb.Seconds
-                                                : 0.0;
-    Table.addRow({std::to_string(V),
-                  Ref.Ran ? TextTable::formatDouble(Ref.Seconds, 3) : "-",
-                  TextTable::formatDouble(Hyb.Seconds, 3),
-                  Ref.Ran ? TextTable::formatDouble(Speedup, 2) + "x" : "-",
-                  TextTable::formatDouble(Hyb.SimplifyMs, 2),
-                  TextTable::formatDouble(
-                      Hyb.PeakGraphBytes / (1024.0 * 1024.0), 2)});
+    bool Ran = RefMs >= 0;
+    double Speedup = Ran && WorklistMs > 0 ? RefMs / WorklistMs : 0.0;
+    auto MiB = [](double Bytes) {
+      return TextTable::formatDouble(Bytes / (1024.0 * 1024.0), 2);
+    };
+    Table.addRow({std::to_string(V), TextTable::formatDouble(HybridSeconds, 3),
+                  Ran ? TextTable::formatDouble(RefMs, 2) : "-",
+                  Ran ? TextTable::formatDouble(WorklistMs, 2) : "-",
+                  Ran ? TextTable::formatDouble(Speedup, 1) + "x" : "-",
+                  MiB(GraphBytes), Ran ? MiB(DenseBytes) : "-"});
 
     Json << (I ? ",\n            " : "") << "{\"v\": " << V
-         << ", \"reference_seconds\": "
-         << (Ref.Ran ? Ref.Seconds : -1.0)
-         << ", \"hybrid_seconds\": " << Hyb.Seconds
-         << ", \"speedup\": " << Speedup
-         << ", \"hybrid_simplify_ms\": " << Hyb.SimplifyMs
-         << ", \"reference_simplify_ms\": "
-         << (Ref.Ran ? Ref.SimplifyMs : -1.0)
-         << ", \"hybrid_peak_graph_bytes\": " << Hyb.PeakGraphBytes
-         << ", \"reference_peak_graph_bytes\": "
-         << (Ref.Ran ? Ref.PeakGraphBytes : -1.0) << "}";
+         << ", \"hybrid_seconds\": " << HybridSeconds
+         << ", \"hybrid_peak_graph_bytes\": " << GraphBytes
+         << ", \"reference_simplify_ms\": " << RefMs
+         << ", \"worklist_simplify_ms\": " << WorklistMs
+         << ", \"simplify_speedup\": " << Speedup
+         << ", \"dense_graph_bytes\": " << DenseBytes << "}";
   }
 
   Json << "],\n  \"reference_cap\": " << ReferenceCap
@@ -169,6 +169,7 @@ int main(int Argc, char **Argv) {
   else
     Table.print(std::cout);
   std::cout << "bit-identical results: " << (Divergences == 0 ? "yes" : "NO")
-            << " (reference arm capped at V=" << ReferenceCap << ")\n";
+            << " (reference simplifier capped at V=" << ReferenceCap
+            << ")\n";
   return Divergences == 0 ? 0 : 1;
 }

@@ -3,12 +3,15 @@
 #include "fuzz/Oracle.h"
 
 #include "analysis/AnalysisCache.h"
+#include "core/BenefitKeys.h"
 #include "core/EngineBuilder.h"
+#include "fuzz/Reference.h"
 #include "ir/Cloner.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
 #include "regalloc/CostAccounting.h"
+#include "regalloc/VRegClasses.h"
 
 #include <cmath>
 #include <map>
@@ -205,6 +208,110 @@ void diffAgainstBaseline(const LegCapture &Base, const LegCapture &Leg,
     Fail("ir-diff", firstDiffLine(Base.AllocatedIR, Leg.AllocatedIR));
 }
 
+/// The reference leg: on every function body, the production graph build,
+/// simplifier and coalescer against fuzz/Reference.h and against each
+/// other's representations.
+void referenceLeg(const Module &M, const OracleOptions &OO,
+                  OracleReport &Report) {
+  auto Fail = [&](const std::string &Oracle, const Function &F,
+                  const std::string &Detail) {
+    Report.Failures.push_back(
+        {"reference", Oracle, "@" + F.getName() + ": " + Detail});
+  };
+  ++Report.LegsRun;
+  MachineDescription MD(OO.Config);
+
+  // Graph representations and the simplifier, on the unallocated code.
+  std::unique_ptr<Module> Clone = cloneModule(M);
+  FrequencyInfo Freq = FrequencyInfo::compute(*Clone, OO.Mode);
+  for (const auto &FPtr : Clone->functions()) {
+    Function &F = *FPtr;
+    if (F.isDeclaration())
+      continue;
+    Liveness LV = Liveness::compute(F);
+    LiveRangeSet LRS =
+        LiveRangeSet::build(F, LV, Freq, VRegClasses(F.numVRegs()));
+    auto Context = [&](GraphRep Rep) {
+      return AllocationContext{F,   MD,  Freq,
+                               LV,  LRS, InterferenceGraph::build(
+                                             F, LV, LRS, nullptr, Rep),
+                               Freq.entryFrequency(F), {}};
+    };
+    AllocationContext Dense = Context(GraphRep::Dense);
+    AllocationContext Auto = Context(GraphRep::Auto);
+    InterferenceGraph Sparse =
+        InterferenceGraph::build(F, LV, LRS, nullptr, GraphRep::Sparse);
+    bool SameGraph = Dense.IG.numNodes() == Sparse.numNodes() &&
+                     Dense.IG.numEdges() == Sparse.numEdges();
+    for (unsigned N = 0; SameGraph && N < Sparse.numNodes(); ++N)
+      SameGraph = Dense.IG.degree(N) == Sparse.degree(N) &&
+                  Dense.IG.neighbors(N) == Sparse.neighbors(N);
+    if (!SameGraph)
+      Fail("graph-diff", F, "dense and sparse interference graphs differ");
+
+    Simplifier::KeyFn Delta = [](const LiveRange &LR) {
+      return benefitSimplificationKey(LR, BenefitKeyStrategy::Delta);
+    };
+    for (bool Optimistic : {false, true})
+      for (const Simplifier::KeyFn &Key : {Simplifier::KeyFn(), Delta})
+        if (Simplifier::run(Auto, Optimistic, Key) !=
+            referenceSimplify(Dense, Optimistic, Key))
+          Fail("simplify-diff", F,
+               std::string("worklist and reference simplifier differ (") +
+                   (Optimistic ? "optimistic" : "pessimistic") +
+                   (Key ? ", delta key)" : ", no key)"));
+  }
+
+  // The coalescer, unseeded and seeded, against the rebuild-per-pass one.
+  // Cloning keeps block ids and positions, so one FrequencyInfo serves
+  // every clone through remappedTo.
+  for (bool Aggressive : {false, true}) {
+    std::unique_ptr<Module> Ref = cloneModule(M);
+    std::unique_ptr<Module> Prod[2] = {cloneModule(M), cloneModule(M)};
+    FrequencyInfo RefFreq = Freq.remappedTo(*Clone, *Ref);
+    FrequencyInfo ProdFreq[2] = {Freq.remappedTo(*Clone, *Prod[0]),
+                                 Freq.remappedTo(*Clone, *Prod[1])};
+    for (std::size_t I = 0; I < Ref->functions().size(); ++I) {
+      Function &RF = *Ref->functions()[I];
+      if (RF.isDeclaration())
+        continue;
+      VRegClasses RefClasses(RF.numVRegs());
+      CoalesceStats Want =
+          referenceCoalesce(RF, RefClasses, MD, RefFreq, Aggressive);
+      std::string WantIR;
+      printFunction(RF, WantIR);
+      for (bool Seed : {false, true}) {
+        Function &F = *Prod[Seed]->functions()[I];
+        VRegClasses Classes(F.numVRegs());
+        CoalesceRequest Req;
+        Req.Aggressive = Aggressive;
+        Req.SeededLV = Seed;
+        Liveness LV;
+        if (Seed)
+          LV = Liveness::compute(F);
+        LiveRangeSet LRS;
+        InterferenceGraph IG;
+        CoalesceStats Got = Coalescer::run(F, Classes, MD, ProdFreq[Seed], LV,
+                                           Req, LRS, IG);
+        bool SameClasses = Classes.size() == RefClasses.size();
+        for (unsigned V = 0; SameClasses && V < Classes.size(); ++V)
+          SameClasses = Classes.find(VirtReg(V)) == RefClasses.find(VirtReg(V));
+        std::string GotIR;
+        printFunction(F, GotIR);
+        if (Got.CoalescedMoves != Want.CoalescedMoves || !SameClasses ||
+            GotIR != WantIR)
+          Fail("coalesce-diff", F,
+               std::string(Aggressive ? "aggressive" : "briggs") +
+                   (Seed ? ", seeded: " : ", unseeded: ") + "moves " +
+                   std::to_string(Got.CoalescedMoves) + " vs reference " +
+                   std::to_string(Want.CoalescedMoves) + ", classes " +
+                   (SameClasses ? "same" : "differ") + ", " +
+                   firstDiffLine(WantIR, GotIR));
+      }
+    }
+  }
+}
+
 } // namespace
 
 std::vector<OracleLeg> ccra::oracleLattice(unsigned ParallelJobs,
@@ -219,47 +326,16 @@ std::vector<OracleLeg> ccra::oracleLattice(unsigned ParallelJobs,
     return O;
   };
   AllocatorOptions Base = Common(improvedOptions());
-  Base.GraphMode = GraphRep::Dense; // explicit, so the sparse leg differs
   Base.Jobs = 1;
 
-  std::vector<OracleLeg> Legs;
-  Legs.push_back({"baseline", Base, /*ExpectIdentical=*/false, false});
+  AllocatorOptions Parallel = Base;
+  Parallel.Jobs = ParallelJobs;
 
-  auto Identical = [&](const std::string &Name, AllocatorOptions O,
-                       bool Seeded = false) {
-    Legs.push_back({Name, std::move(O), /*ExpectIdentical=*/true, Seeded});
-  };
-  {
-    AllocatorOptions O = Base;
-    O.GraphMode = GraphRep::Sparse;
-    Identical("graph-sparse", O);
-  }
-  {
-    AllocatorOptions O = Base;
-    O.LegacySimplifier = true;
-    Identical("simplifier-reference", O);
-  }
-  {
-    AllocatorOptions O = Base;
-    O.Jobs = ParallelJobs;
-    Identical("jobs-parallel", O);
-  }
-  {
-    AllocatorOptions O = Base;
-    O.ScratchArenas = false;
-    Identical("arenas-off", O);
-  }
-  {
-    AllocatorOptions O = Base;
-    O.IncrementalLiveness = false;
-    Identical("liveness-legacy", O);
-  }
-  {
-    AllocatorOptions O = Base;
-    O.IncrementalReconstruction = false;
-    Identical("reconstruct-legacy", O);
-  }
-  Identical("liveness-seeded", Base, /*Seeded=*/true);
+  std::vector<OracleLeg> Legs = {
+      {"baseline", Base, /*ExpectIdentical=*/false, false},
+      {"jobs-parallel", Parallel, /*ExpectIdentical=*/true, false},
+      {"liveness-seeded", Base, /*ExpectIdentical=*/true,
+       /*SeedFromCache=*/true}};
 
   if (SoundnessSweep) {
     auto Sound = [&](const std::string &Name, AllocatorOptions O) {
@@ -304,5 +380,6 @@ OracleReport ccra::runOracleLattice(const Module &M,
     else if (Leg.ExpectIdentical)
       diffAgainstBaseline(Baseline, Cap, Leg.Name, Report);
   }
+  referenceLeg(M, Opts, Report);
   return Report;
 }

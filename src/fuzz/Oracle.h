@@ -3,29 +3,31 @@
 /// \file
 /// The oracle lattice: one fuzz input (a verified module) is allocated once
 /// per *leg* — a named allocator configuration — and the results are
-/// cross-checked two ways:
+/// cross-checked three ways:
 ///
-/// - **Equivalence oracles.** Every optimization the repo has grown
-///   (sparse vs. dense interference graphs, worklist vs. reference
-///   simplifier, parallel vs. serial module allocation, scratch arenas,
-///   incremental vs. legacy liveness, incremental graph reconstruction,
-///   cache-seeded baseline liveness) documents a bit-identical-results
-///   contract. Each such leg is diffed against the baseline leg: cost
-///   breakdowns and per-function counters must match exactly, every vreg
-///   must land in the same location, and the printed allocated IR must be
-///   byte-identical.
+/// - **Equivalence oracles.** Parallel module allocation and cache-seeded
+///   baseline liveness document a bit-identical-results contract. Each
+///   such leg is diffed against the baseline leg: cost breakdowns and
+///   per-function counters must match exactly, every vreg must land in the
+///   same location, and the printed allocated IR must be byte-identical.
 ///
-/// - **Soundness oracles.** Every leg — including configurations with
-///   legitimately different results, like the two §4 callee-save cost
-///   models and the other allocator kinds — must produce an allocation
-///   that passes verifyAllocation (run in report-only mode so a violation
-///   is a finding, not an abort), keeps the module IR-verified, yields
-///   finite non-negative costs, and reconciles: the §3 cost measured off
-///   the materialized overhead instructions must equal the analytically
-///   derived cost.
+/// - **Reference oracles.** The `reference` leg allocates nothing: on every
+///   function body it holds the production phases to the implementations
+///   they replaced (fuzz/Reference.h). Dense and sparse interference
+///   graphs must agree edge for edge, Simplifier::run must match
+///   referenceSimplify, and Coalescer::run (seeded and unseeded) must
+///   match referenceCoalesce in classes, code and coalesced-move count.
 ///
-/// Adding the next optimization = adding one OracleLeg (see
-/// DESIGN.md "The oracle lattice").
+/// - **Soundness oracles.** Every allocating leg — including
+///   configurations with legitimately different results, like the two §4
+///   callee-save cost models and the other allocator kinds — must produce
+///   an allocation that passes verifyAllocation (run in report-only mode
+///   so a violation is a finding, not an abort), keeps the module
+///   IR-verified, yields finite non-negative costs, and reconciles: the
+///   §3 cost measured off the materialized overhead instructions must
+///   equal the analytically derived cost.
+///
+/// See DESIGN.md "The oracle lattice" for how a new optimization joins it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,9 +56,10 @@ struct OracleLeg {
                                 ///< cache computed on the source module
 };
 
-/// The full lattice, baseline first. \p ParallelJobs sizes the parallel
-/// leg; \p SoundnessSweep includes the different-results legs (callee cost
-/// models, the other allocator kinds).
+/// The allocating legs, baseline first (the reference leg is not an
+/// allocator configuration; runOracleLattice adds it). \p ParallelJobs
+/// sizes the parallel leg; \p SoundnessSweep includes the
+/// different-results legs (callee cost models, the other allocator kinds).
 std::vector<OracleLeg> oracleLattice(unsigned ParallelJobs = 4,
                                      bool SoundnessSweep = true);
 

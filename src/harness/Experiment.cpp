@@ -39,7 +39,7 @@ ExperimentRun ccra::runExperiment(const ExperimentSpec &Spec,
 
   AnalysisSeeds Seeds;
   const AnalysisSeeds *SeedsPtr = nullptr;
-  if (Cache && Spec.Options.IncrementalLiveness) {
+  if (Cache) {
     const auto &Fns = Spec.Program->functions();
     for (unsigned I = 0; I < Fns.size(); ++I) {
       if (Fns[I]->isDeclaration())

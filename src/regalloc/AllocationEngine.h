@@ -48,8 +48,7 @@ class ThreadPool;
 /// (functions with a definition, in module order); entries may be null.
 /// The harness fills this from a ModuleAnalysisCache computed on the
 /// pristine source module — valid for its clones too, since cloning
-/// preserves block ids and vreg numbering. Honored only when
-/// AllocatorOptions::IncrementalLiveness is on; each allocation copies its
+/// preserves block ids and vreg numbering. Each allocation copies its
 /// seed, never mutates it.
 struct AnalysisSeeds {
   std::vector<const Liveness *> BaselineLiveness;
@@ -62,16 +61,10 @@ using AllocatorFactory =
 
 class AllocationEngine {
 public:
-  /// Preferred constructor: \p Factory mints one allocator per concurrent
-  /// allocation task, enabling Jobs > 1.
+  /// \p Factory mints one allocator per concurrent allocation task,
+  /// enabling Jobs > 1.
   AllocationEngine(MachineDescription MD, AllocatorOptions Opts,
                    AllocatorFactory Factory);
-
-  /// Single-allocator constructor, kept for callers that hand-build one
-  /// allocator instance. The engine owns it; with no factory to mint more,
-  /// allocateModule always runs serially.
-  AllocationEngine(MachineDescription MD, AllocatorOptions Opts,
-                   std::unique_ptr<RegAllocBase> Allocator);
 
   /// Attaches (or detaches, with null) a telemetry recorder. Not owned;
   /// must outlive every allocate call.
@@ -89,7 +82,8 @@ public:
   ThreadPool *pool() const { return Pool; }
 
   /// Allocates registers for \p F (mutating it) and returns locations,
-  /// statistics, and the §3 cost breakdown.
+  /// statistics, and the §3 cost breakdown. Uses a scratch arena private
+  /// to this call.
   FunctionAllocation allocateFunction(Function &F,
                                       const FrequencyInfo &Freq) const;
 
@@ -111,16 +105,16 @@ public:
 
 private:
   /// One whole-function allocation with an explicit allocator instance,
-  /// telemetry sink, optional baseline-liveness seed, and optional scratch
-  /// arena (all per-task in the parallel path).
+  /// telemetry sink, optional baseline-liveness seed, and scratch arena
+  /// (all per-task in the parallel path).
   FunctionAllocation allocateWith(RegAllocBase &Alloc, Function &F,
                                   const FrequencyInfo &Freq, Telemetry *T,
                                   const Liveness *SeedLV,
-                                  AllocationScratch *Scratch) const;
+                                  AllocationScratch &Scratch) const;
 
   MachineDescription MD;
   AllocatorOptions Opts;
-  AllocatorFactory Factory; ///< null when built from a single allocator
+  AllocatorFactory Factory;
   std::unique_ptr<RegAllocBase> Allocator; ///< serial-path instance
   Telemetry *Telem = nullptr;
   ThreadPool *Pool = nullptr; ///< external shared pool (not owned)

@@ -2,6 +2,7 @@
 
 #include "regalloc/AllocatorOptions.h"
 
+#include <charconv>
 #include <sstream>
 
 using namespace ccra;
@@ -40,64 +41,54 @@ std::string AllocatorOptions::describe() const {
   return "unknown";
 }
 
-// Textual field names of the canonical serialized form. Enum spellings are
-// the single source of truth for both directions, so serialize -> parse
-// cannot drift.
+// The spellings of the canonical key. One table per enum serves both
+// directions, so canonicalKey -> parse cannot drift.
 namespace {
 
-const char *kindName(AllocatorKind K) {
-  switch (K) {
-  case AllocatorKind::Chaitin:
-    return "chaitin";
-  case AllocatorKind::Improved:
-    return "improved";
-  case AllocatorKind::Priority:
-    return "priority";
-  case AllocatorKind::CBH:
-    return "cbh";
-  }
-  return "improved";
+template <typename E> struct Spelling {
+  E Value;
+  const char *Name;
+};
+
+constexpr Spelling<AllocatorKind> KindNames[] = {
+    {AllocatorKind::Chaitin, "chaitin"},
+    {AllocatorKind::Improved, "improved"},
+    {AllocatorKind::Priority, "priority"},
+    {AllocatorKind::CBH, "cbh"}};
+constexpr Spelling<BenefitKeyStrategy> BSKeyNames[] = {
+    {BenefitKeyStrategy::MaxBenefit, "max"},
+    {BenefitKeyStrategy::Delta, "delta"}};
+constexpr Spelling<CalleeCostModel> CalleeModelNames[] = {
+    {CalleeCostModel::FirstUserPays, "first-user"},
+    {CalleeCostModel::Shared, "shared"}};
+constexpr Spelling<PriorityOrdering> OrderingNames[] = {
+    {PriorityOrdering::RemoveUnconstrained, "remove-unconstrained"},
+    {PriorityOrdering::SortUnconstrained, "sort-unconstrained"},
+    {PriorityOrdering::FullSort, "full-sort"}};
+
+template <typename E, std::size_t N>
+const char *nameOf(const Spelling<E> (&Names)[N], E Value) {
+  for (const Spelling<E> &S : Names)
+    if (S.Value == Value)
+      return S.Name;
+  return Names[0].Name;
 }
 
-const char *bsKeyName(BenefitKeyStrategy S) {
-  return S == BenefitKeyStrategy::MaxBenefit ? "max" : "delta";
-}
-
-const char *calleeModelName(CalleeCostModel M) {
-  return M == CalleeCostModel::FirstUserPays ? "first-user" : "shared";
-}
-
-const char *orderingName(PriorityOrdering O) {
-  switch (O) {
-  case PriorityOrdering::RemoveUnconstrained:
-    return "remove-unconstrained";
-  case PriorityOrdering::SortUnconstrained:
-    return "sort-unconstrained";
-  case PriorityOrdering::FullSort:
-    return "full-sort";
-  }
-  return "full-sort";
-}
-
-const char *graphName(GraphRep G) {
-  switch (G) {
-  case GraphRep::Auto:
-    return "auto";
-  case GraphRep::Dense:
-    return "dense";
-  case GraphRep::Sparse:
-    return "sparse";
-  }
-  return "auto";
+template <typename E, std::size_t N>
+bool parseName(const Spelling<E> (&Names)[N], const std::string &Text,
+               E &Out) {
+  for (const Spelling<E> &S : Names)
+    if (Text == S.Name) {
+      Out = S.Value;
+      return true;
+    }
+  return false;
 }
 
 bool parseBool(const std::string &V, bool &Out) {
-  if (V == "1")
-    Out = true;
-  else if (V == "0")
-    Out = false;
-  else
+  if (V != "0" && V != "1")
     return false;
+  Out = V == "1";
   return true;
 }
 
@@ -109,41 +100,16 @@ bool fail(std::string *Err, const std::string &Message) {
 
 } // namespace
 
-std::string ccra::serializeAllocatorOptions(const AllocatorOptions &Opts) {
-  std::ostringstream OS;
-  OS << "kind=" << kindName(Opts.Kind)                          //
-     << " optimistic=" << (Opts.Optimistic ? 1 : 0)             //
-     << " storage-class=" << (Opts.StorageClass ? 1 : 0)        //
-     << " benefit-simplify=" << (Opts.BenefitSimplify ? 1 : 0)  //
-     << " preference-decision=" << (Opts.PreferenceDecision ? 1 : 0)
-     << " bs-key=" << bsKeyName(Opts.BSKey)                     //
-     << " callee-model=" << calleeModelName(Opts.CalleeModel)   //
-     << " ordering=" << orderingName(Opts.Ordering)             //
-     << " aggressive-coalescing=" << (Opts.AggressiveCoalescing ? 1 : 0)
-     << " materialize=" << (Opts.MaterializeSaveRestore ? 1 : 0) //
-     << " verify=" << (Opts.Verify ? 1 : 0)                      //
-     << " verify-report-only=" << (Opts.VerifyReportOnly ? 1 : 0)
-     << " incremental-reconstruction="
-     << (Opts.IncrementalReconstruction ? 1 : 0)                //
-     << " incremental-liveness=" << (Opts.IncrementalLiveness ? 1 : 0)
-     << " scratch-arenas=" << (Opts.ScratchArenas ? 1 : 0)      //
-     << " graph=" << graphName(Opts.GraphMode)                  //
-     << " legacy-simplifier=" << (Opts.LegacySimplifier ? 1 : 0)
-     << " max-rounds=" << Opts.MaxRounds                        //
-     << " jobs=" << Opts.Jobs;
-  return OS.str();
-}
-
 std::string AllocatorOptions::canonicalKey() const {
   std::ostringstream OS;
-  OS << "kind=" << kindName(Kind)                            //
+  OS << "kind=" << nameOf(KindNames, Kind)                   //
      << " optimistic=" << (Optimistic ? 1 : 0)               //
      << " storage-class=" << (StorageClass ? 1 : 0)          //
      << " benefit-simplify=" << (BenefitSimplify ? 1 : 0)    //
      << " preference-decision=" << (PreferenceDecision ? 1 : 0)
-     << " bs-key=" << bsKeyName(BSKey)                       //
-     << " callee-model=" << calleeModelName(CalleeModel)     //
-     << " ordering=" << orderingName(Ordering)               //
+     << " bs-key=" << nameOf(BSKeyNames, BSKey)              //
+     << " callee-model=" << nameOf(CalleeModelNames, CalleeModel)
+     << " ordering=" << nameOf(OrderingNames, Ordering)      //
      << " aggressive-coalescing=" << (AggressiveCoalescing ? 1 : 0)
      << " materialize=" << (MaterializeSaveRestore ? 1 : 0)  //
      << " max-rounds=" << MaxRounds;
@@ -163,16 +129,7 @@ bool ccra::parseAllocatorOptions(const std::string &Text, AllocatorOptions &Out,
     std::string Value = Token.substr(Eq + 1);
     bool Ok = true;
     if (Key == "kind") {
-      if (Value == "chaitin")
-        Out.Kind = AllocatorKind::Chaitin;
-      else if (Value == "improved")
-        Out.Kind = AllocatorKind::Improved;
-      else if (Value == "priority")
-        Out.Kind = AllocatorKind::Priority;
-      else if (Value == "cbh")
-        Out.Kind = AllocatorKind::CBH;
-      else
-        Ok = false;
+      Ok = parseName(KindNames, Value, Out.Kind);
     } else if (Key == "optimistic") {
       Ok = parseBool(Value, Out.Optimistic);
     } else if (Key == "storage-class") {
@@ -182,69 +139,23 @@ bool ccra::parseAllocatorOptions(const std::string &Text, AllocatorOptions &Out,
     } else if (Key == "preference-decision") {
       Ok = parseBool(Value, Out.PreferenceDecision);
     } else if (Key == "bs-key") {
-      if (Value == "max")
-        Out.BSKey = BenefitKeyStrategy::MaxBenefit;
-      else if (Value == "delta")
-        Out.BSKey = BenefitKeyStrategy::Delta;
-      else
-        Ok = false;
+      Ok = parseName(BSKeyNames, Value, Out.BSKey);
     } else if (Key == "callee-model") {
-      if (Value == "first-user")
-        Out.CalleeModel = CalleeCostModel::FirstUserPays;
-      else if (Value == "shared")
-        Out.CalleeModel = CalleeCostModel::Shared;
-      else
-        Ok = false;
+      Ok = parseName(CalleeModelNames, Value, Out.CalleeModel);
     } else if (Key == "ordering") {
-      if (Value == "remove-unconstrained")
-        Out.Ordering = PriorityOrdering::RemoveUnconstrained;
-      else if (Value == "sort-unconstrained")
-        Out.Ordering = PriorityOrdering::SortUnconstrained;
-      else if (Value == "full-sort")
-        Out.Ordering = PriorityOrdering::FullSort;
-      else
-        Ok = false;
+      Ok = parseName(OrderingNames, Value, Out.Ordering);
     } else if (Key == "aggressive-coalescing") {
       Ok = parseBool(Value, Out.AggressiveCoalescing);
     } else if (Key == "materialize") {
       Ok = parseBool(Value, Out.MaterializeSaveRestore);
-    } else if (Key == "verify") {
-      Ok = parseBool(Value, Out.Verify);
-    } else if (Key == "verify-report-only") {
-      Ok = parseBool(Value, Out.VerifyReportOnly);
-    } else if (Key == "incremental-reconstruction") {
-      Ok = parseBool(Value, Out.IncrementalReconstruction);
-    } else if (Key == "incremental-liveness") {
-      Ok = parseBool(Value, Out.IncrementalLiveness);
-    } else if (Key == "scratch-arenas") {
-      Ok = parseBool(Value, Out.ScratchArenas);
-    } else if (Key == "legacy-simplifier") {
-      Ok = parseBool(Value, Out.LegacySimplifier);
-    } else if (Key == "graph") {
-      if (Value == "auto")
-        Out.GraphMode = GraphRep::Auto;
-      else if (Value == "dense")
-        Out.GraphMode = GraphRep::Dense;
-      else if (Value == "sparse")
-        Out.GraphMode = GraphRep::Sparse;
-      else
-        Ok = false;
-    } else if (Key == "max-rounds" || Key == "jobs") {
-      unsigned N = 0;
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        Ok = false;
-      } else {
-        try {
-          unsigned long Wide = std::stoul(Value);
-          N = static_cast<unsigned>(Wide);
-          Ok = static_cast<unsigned long>(N) == Wide;
-        } catch (const std::exception &) {
-          Ok = false;
-        }
-      }
-      if (Ok)
-        (Key == "jobs" ? Out.Jobs : Out.MaxRounds) = N;
+    } else if (Key == "max-rounds") {
+      const char *End = Value.data() + Value.size();
+      auto [Ptr, Ec] = std::from_chars(Value.data(), End, Out.MaxRounds);
+      Ok = Ec == std::errc() && Ptr == End;
+      unsigned Min = AllocatorOptions::DefaultMaxRounds;
+      if (Ok && Out.MaxRounds < Min)
+        return fail(Err, "max-rounds below " + std::to_string(Min) +
+                             " can only abort allocation: '" + Value + "'");
     } else {
       return fail(Err, "unknown option key '" + Key + "'");
     }

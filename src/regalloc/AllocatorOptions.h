@@ -12,8 +12,6 @@
 #ifndef CCRA_REGALLOC_ALLOCATOROPTIONS_H
 #define CCRA_REGALLOC_ALLOCATOROPTIONS_H
 
-#include "regalloc/GraphRep.h"
-
 #include <string>
 
 namespace ccra {
@@ -88,40 +86,12 @@ struct AllocatorOptions {
   /// becomes a reported (and shrinkable) finding rather than a crash.
   bool VerifyReportOnly = false;
 
-  /// Graph reconstruction (§2): when a retry round cannot coalesce anything
-  /// anyway (the function has no copies left), patch the liveness /
-  /// live-range / interference-graph state incrementally instead of
-  /// recomputing it — the paper's compile-time optimization. Results are
-  /// identical either way (equivalence-tested).
-  bool IncrementalReconstruction = true;
-
-  /// Maintain liveness incrementally: the coalescer renames/patches the
-  /// solution across its passes (at most one full dataflow run per round,
-  /// zero when the harness seeds the baseline from a ModuleAnalysisCache),
-  /// and the engine carries it across spill rewrites. Results are
-  /// identical either way (equivalence-tested); off reproduces the
-  /// recompute-per-pass behavior for comparison benchmarks.
-  bool IncrementalLiveness = true;
-
-  /// Recycle per-worker scratch buffers (block-scan bit vectors and lists,
-  /// coalescer sweep marks, spill-index maps) across blocks, passes,
-  /// rounds, and functions instead of allocating them per use. Purely an
-  /// allocation-churn optimization; results are bit-identical.
-  bool ScratchArenas = true;
-
-  /// Interference-graph representation: Auto switches from the dense bit
-  /// matrix to sparse adjacency above InterferenceGraph::DenseNodeThreshold
-  /// nodes. Dense/Sparse force one representation (equivalence tests, memory
-  /// experiments). Results are bit-identical at any setting.
-  GraphRep GraphMode = GraphRep::Auto;
-
-  /// Use the retained O(V^2) reference simplifier instead of the worklist
-  /// one. Results are bit-identical (equivalence-tested); this exists for
-  /// the perf_grid legacy arm and as a fallback while triaging.
-  bool LegacySimplifier = false;
-
-  /// Safety cap on spill-and-retry rounds.
-  unsigned MaxRounds = 64;
+  /// Safety cap on spill-and-retry rounds. Allocation asserts convergence
+  /// within the cap, so a lower cap can only turn an allocation that
+  /// converges into an abort; parseAllocatorOptions therefore rejects
+  /// values below DefaultMaxRounds.
+  static constexpr unsigned DefaultMaxRounds = 64;
+  unsigned MaxRounds = DefaultMaxRounds;
 
   /// Concurrent function allocations in allocateModule: 1 = serial (the
   /// escape hatch; default), 0 = one job per hardware thread, N = exactly
@@ -132,42 +102,33 @@ struct AllocatorOptions {
   /// Short human-readable tag ("base", "opt", "SC+BS+PR", ...).
   std::string describe() const;
 
-  /// The one true cache/serialization form: a fixed-order `key=value` line
+  /// The one text form of the options: a fixed-order `key=value` line
   /// covering ONLY the fields that can change the allocation *result*
   /// (assignment, costs, emitted IR) — Kind, Optimistic, the three
   /// improvements, BSKey, CalleeModel, Ordering, AggressiveCoalescing,
-  /// MaterializeSaveRestore, MaxRounds. Execution-strategy fields (Jobs,
-  /// GraphMode, ScratchArenas, IncrementalLiveness/Reconstruction,
-  /// LegacySimplifier, Verify, VerifyReportOnly) are excluded: the oracle
-  /// lattice (tools/ccra_fuzz) holds results bit-identical across all of
-  /// them, so two options differing only there MUST share a key. The form
-  /// is order- and default-insensitive by construction (fixed order, every
-  /// included field always emitted) and parses back through
-  /// parseAllocatorOptions (omitted fields keep their defaults).
+  /// MaterializeSaveRestore, MaxRounds. Jobs, Verify and VerifyReportOnly
+  /// are excluded: the oracle lattice (tools/ccra_fuzz) holds results
+  /// bit-identical across Jobs, and the verifier only observes, so two
+  /// options differing only there MUST share a key. The form is order- and
+  /// default-insensitive by construction (fixed order, every included field
+  /// always emitted) and parses back through parseAllocatorOptions.
   /// Property-tested in tests/PropertyTest.cpp: semantically equal options
   /// produce equal keys and every behavior-affecting field perturbs the
-  /// key. The wire protocol and the content-addressed allocation cache
-  /// (service/AllocationCache.h) both key on this form.
+  /// key. The wire protocol, the content-addressed allocation cache
+  /// (service/AllocationCache.h) and `ccra_cc --options=` all use this
+  /// form; fuzz reproducer headers carry only the register config.
   std::string canonicalKey() const;
 
   bool operator==(const AllocatorOptions &Other) const = default;
 };
 
-/// Full one-line textual form of \p Opts: every field emitted as
-/// `key=value`, space-separated, in a fixed order. Fuzz reproducer headers
-/// embed this form (they must replay the exact execution configuration,
-/// not just the behavior); parseAllocatorOptions reproduces the exact
-/// struct (property-tested over the full option space in
-/// tests/PropertyTest.cpp). The wire protocol ships
-/// AllocatorOptions::canonicalKey() instead — behavior-affecting fields
-/// only.
-std::string serializeAllocatorOptions(const AllocatorOptions &Opts);
-
-/// Parses text produced by serializeAllocatorOptions. Tokens may appear in
-/// any order; omitted fields keep their defaults (so the format can grow
-/// fields without breaking old clients); an unknown key, malformed token,
-/// or bad value fails. Returns false (leaving \p Out in an unspecified
-/// state) on failure, with a diagnostic in \p Err when non-null.
+/// Parses text in the canonicalKey() form. Tokens may appear in any order
+/// and omitted fields keep their defaults, so Jobs, Verify and
+/// VerifyReportOnly always come back at their defaults. A key canonicalKey
+/// does not emit, a malformed token, a bad value, or a max-rounds below
+/// AllocatorOptions::DefaultMaxRounds fails. Returns false (leaving \p Out
+/// in an unspecified state) on failure, with a diagnostic in \p Err when
+/// non-null.
 bool parseAllocatorOptions(const std::string &Text, AllocatorOptions &Out,
                            std::string *Err = nullptr);
 

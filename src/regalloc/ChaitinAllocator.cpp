@@ -18,9 +18,7 @@ void ChaitinAllocator::runRound(AllocationContext &Ctx, RoundResult &RR) {
   SimplifyResult Simp;
   {
     Telemetry::ScopedTimer Timer(Ctx.T, telemetry::AllocSimplifyPhase);
-    Simp = Opts.LegacySimplifier
-               ? Simplifier::runReference(Ctx, Opts.Optimistic, Key)
-               : Simplifier::run(Ctx, Opts.Optimistic, Key);
+    Simp = Simplifier::run(Ctx, Opts.Optimistic, Key);
   }
 
   AssignmentState State(Ctx);

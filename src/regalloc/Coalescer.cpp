@@ -45,8 +45,8 @@ namespace {
 
 /// Briggs test: merging is safe if the combined node has fewer than N
 /// neighbors whose degree is at least N.
-bool conservativelySafe(const InterferenceGraph &IG, const LiveRangeSet &LRS,
-                        unsigned A, unsigned B, unsigned N) {
+bool conservativelySafe(const InterferenceGraph &IG, unsigned A, unsigned B,
+                        unsigned N) {
   unsigned Significant = 0;
   auto CountFrom = [&](unsigned Node, unsigned Other) {
     for (unsigned Neighbor : IG.neighbors(Node)) {
@@ -62,7 +62,6 @@ bool conservativelySafe(const InterferenceGraph &IG, const LiveRangeSet &LRS,
         ++Significant;
     }
   };
-  (void)LRS;
   CountFrom(A, B);
   CountFrom(B, A);
   return Significant < N;
@@ -98,8 +97,6 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
   AllocationScratch LocalScratch;
   AllocationScratch &S = Req.Scratch ? *Req.Scratch : LocalScratch;
 
-  bool LVValid = Req.SeededLV;
-
   // Hoisted per-pass work lists (cleared each pass, capacity kept).
   std::vector<std::size_t> BlockStart;
   std::vector<MergePair> Merges;
@@ -112,12 +109,11 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
     // never references a register whose defining copy was deleted (the IR
     // stays verifier-clean, and printed code reads naturally).
     canonicalize(F, Classes);
-    if (LVValid) {
-      ++Stats.IncrementalLVUpdates;
-    } else {
+    if (Pass == 0 && !Req.SeededLV) {
       LV = Liveness::compute(F);
       ++Stats.LivenessComputes;
-      LVValid = true;
+    } else {
+      ++Stats.IncrementalLVUpdates;
     }
     LiveRangeSet LRS;
     {
@@ -127,7 +123,7 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
     InterferenceGraph IG;
     {
       Telemetry::ScopedTimer Timer(T, telemetry::BuildGraphPhase);
-      IG = InterferenceGraph::build(F, LV, LRS, &S, Req.GraphMode);
+      IG = InterferenceGraph::build(F, LV, LRS, &S);
     }
 
     // --- Phase 1: decide merges and deletions (code untouched) ------------
@@ -174,14 +170,13 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
         bool CanMerge =
             !Touched[Src] && !Touched[Dst] && LRS.range(Dst).Bank == Bank &&
             !IG.interfere(Src, Dst) &&
-            (SkipBriggs || conservativelySafe(IG, LRS, Src, Dst, N));
+            (SkipBriggs || conservativelySafe(IG, Src, Dst, N));
         if (!CanMerge)
           continue;
         VirtReg RootS = LRS.range(Src).Root;
         VirtReg RootD = LRS.range(Dst).Root;
         VirtReg Winner = Classes.merge(RootS, RootD);
-        if (Req.IncrementalLiveness)
-          Merges.push_back({Winner, Winner == RootS ? RootD : RootS});
+        Merges.push_back({Winner, Winner == RootS ? RootD : RootS});
         Touched[Src] = Touched[Dst] = 1;
         ++Stats.CoalescedMoves;
         Deleted[Base + Idx] = 1; // The copy is dropped.
@@ -202,55 +197,49 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
     for (const auto &BB : F.blocks()) {
       auto &Insts = BB->instructions();
       const std::size_t Base = BlockStart[BlockIdx++];
-      bool AnyDeleted = false;
-      for (std::size_t Idx = 0; Idx < Insts.size(); ++Idx)
-        AnyDeleted |= Deleted[Base + Idx] != 0;
-      if (!AnyDeleted)
+      // The registers a deletion here can affect: the (final) class
+      // representative of each deleted copy. None means nothing to erase.
+      BlockReps.clear();
+      for (std::size_t Idx = 0; Idx < Insts.size(); ++Idx) {
+        if (!Deleted[Base + Idx])
+          continue;
+        VirtReg Rep = Classes.find(Insts[Idx].moveDest());
+        if (std::find(BlockReps.begin(), BlockReps.end(), Rep) ==
+            BlockReps.end())
+          BlockReps.push_back(Rep);
+      }
+      if (BlockReps.empty())
         continue;
-
-      if (Req.IncrementalLiveness) {
-        // The registers a deletion here can affect: the (final) class
-        // representative of each deleted copy.
-        BlockReps.clear();
+      for (VirtReg Rep : BlockReps) {
+        bool DefWith = false, DefWithout = false;
+        bool UEWith = false, UEWithout = false;
+        bool KillWith = false, KillWithout = false;
         for (std::size_t Idx = 0; Idx < Insts.size(); ++Idx) {
-          if (!Deleted[Base + Idx])
-            continue;
-          VirtReg Rep = Classes.find(Insts[Idx].moveDest());
-          if (std::find(BlockReps.begin(), BlockReps.end(), Rep) ==
-              BlockReps.end())
-            BlockReps.push_back(Rep);
-        }
-        for (VirtReg Rep : BlockReps) {
-          bool DefWith = false, DefWithout = false;
-          bool UEWith = false, UEWithout = false;
-          bool KillWith = false, KillWithout = false;
-          for (std::size_t Idx = 0; Idx < Insts.size(); ++Idx) {
-            const Instruction &I = Insts[Idx];
-            bool Del = Deleted[Base + Idx] != 0;
-            for (VirtReg U : I.Uses)
-              if (Classes.find(U) == Rep) {
-                if (!DefWith)
-                  UEWith = true;
-                if (!Del && !DefWithout)
-                  UEWithout = true;
+          const Instruction &I = Insts[Idx];
+          bool Del = Deleted[Base + Idx] != 0;
+          for (VirtReg U : I.Uses)
+            if (Classes.find(U) == Rep) {
+              if (!DefWith)
+                UEWith = true;
+              if (!Del && !DefWithout)
+                UEWithout = true;
+            }
+          for (VirtReg D : I.Defs)
+            if (Classes.find(D) == Rep) {
+              KillWith = true;
+              DefWith = true;
+              if (!Del) {
+                KillWithout = true;
+                DefWithout = true;
               }
-            for (VirtReg D : I.Defs)
-              if (Classes.find(D) == Rep) {
-                KillWith = true;
-                DefWith = true;
-                if (!Del) {
-                  KillWithout = true;
-                  DefWithout = true;
-                }
-              }
-          }
-          bool SameTransfer =
-              UEWith == UEWithout && (UEWith || KillWith == KillWithout);
-          if (!SameTransfer &&
-              std::find(StaleRegs.begin(), StaleRegs.end(), Rep) ==
-                  StaleRegs.end())
-            StaleRegs.push_back(Rep);
+            }
         }
+        bool SameTransfer =
+            UEWith == UEWithout && (UEWith || KillWith == KillWithout);
+        if (!SameTransfer &&
+            std::find(StaleRegs.begin(), StaleRegs.end(), Rep) ==
+                StaleRegs.end())
+          StaleRegs.push_back(Rep);
       }
 
       std::size_t W = 0;
@@ -265,45 +254,30 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
     }
 
     // --- Liveness maintenance for the next pass ---------------------------
-    if (Req.IncrementalLiveness) {
-      for (const MergePair &M : Merges)
-        LV.renameRegister(M.Loser, M.Winner);
-      if (!StaleRegs.empty()) {
-        std::vector<unsigned char> UE(F.numBlocks()), Kill(F.numBlocks());
-        for (VirtReg Rep : StaleRegs) {
-          std::fill(UE.begin(), UE.end(), 0);
-          std::fill(Kill.begin(), Kill.end(), 0);
-          for (const auto &BB : F.blocks()) {
-            bool DefSeen = false, UEBit = false, KillBit = false;
-            for (const Instruction &I : BB->instructions()) {
-              for (VirtReg U : I.Uses)
-                if (!DefSeen && Classes.find(U) == Rep)
-                  UEBit = true;
-              for (VirtReg D : I.Defs)
-                if (Classes.find(D) == Rep) {
-                  KillBit = true;
-                  DefSeen = true;
-                }
-            }
-            UE[BB->getId()] = UEBit;
-            Kill[BB->getId()] = KillBit;
+    for (const MergePair &M : Merges)
+      LV.renameRegister(M.Loser, M.Winner);
+    if (!StaleRegs.empty()) {
+      std::vector<unsigned char> UE(F.numBlocks()), Kill(F.numBlocks());
+      for (VirtReg Rep : StaleRegs) {
+        std::fill(UE.begin(), UE.end(), 0);
+        std::fill(Kill.begin(), Kill.end(), 0);
+        for (const auto &BB : F.blocks()) {
+          bool DefSeen = false, UEBit = false, KillBit = false;
+          for (const Instruction &I : BB->instructions()) {
+            for (VirtReg U : I.Uses)
+              if (!DefSeen && Classes.find(U) == Rep)
+                UEBit = true;
+            for (VirtReg D : I.Defs)
+              if (Classes.find(D) == Rep) {
+                KillBit = true;
+                DefSeen = true;
+              }
           }
-          LV.recomputeRegister(F, Rep, UE, Kill);
+          UE[BB->getId()] = UEBit;
+          Kill[BB->getId()] = KillBit;
         }
+        LV.recomputeRegister(F, Rep, UE, Kill);
       }
-#ifdef CCRA_COALESCER_SELFCHECK
-      {
-        Function &Check = F;
-        VRegClasses &CheckClasses = Classes;
-        // The maintained solution must equal a fresh run on the code as
-        // the next pass will name it.
-        canonicalize(Check, CheckClasses);
-        assert(LV == Liveness::compute(Check) &&
-               "incremental liveness diverged from fresh compute");
-      }
-#endif
-    } else {
-      LVValid = false;
     }
 
     // This pass's graph is stale (code changed); give its buffers back to
@@ -319,18 +293,6 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
   LV = Liveness::compute(F);
   ++Stats.LivenessComputes;
   OutLRS = LiveRangeSet::build(F, LV, Freq, Classes);
-  OutIG = InterferenceGraph::build(F, LV, OutLRS, &S, Req.GraphMode);
+  OutIG = InterferenceGraph::build(F, LV, OutLRS, &S);
   return Stats;
-}
-
-CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
-                             const MachineDescription &MD,
-                             const FrequencyInfo &Freq, Liveness &LV,
-                             bool Aggressive) {
-  CoalesceRequest Req;
-  Req.Aggressive = Aggressive;
-  Req.IncrementalLiveness = false;
-  LiveRangeSet LRS;
-  InterferenceGraph IG;
-  return run(F, Classes, MD, Freq, LV, Req, LRS, IG);
 }

@@ -13,16 +13,18 @@
 /// live-range set and graph the allocator needs next, which run() returns
 /// instead of making the caller rebuild them.
 ///
-/// Liveness per pass is the dominant cost, and with IncrementalLiveness on
-/// it is *maintained* instead of recomputed: merging two non-interfering
-/// ranges unions their solutions (Liveness::renameRegister is exact for
-/// that case), and deleting a copy can only change a block's transfer
-/// function in ways a local upward-exposed-use/kill comparison detects —
-/// the rare register that fails the comparison gets a surgical
-/// single-register re-solve (Liveness::recomputeRegister). A run seeded
+/// Liveness per pass is the dominant cost, so it is *maintained* instead
+/// of recomputed: merging two non-interfering ranges unions their
+/// solutions (Liveness::renameRegister is exact for that case), and
+/// deleting a copy can only change a block's transfer function in ways a
+/// local upward-exposed-use/kill comparison detects — the rare register
+/// that fails the comparison gets a surgical single-register re-solve
+/// (Liveness::recomputeRegister). A run seeded
 /// with valid liveness (SeededLV) therefore does *zero* full
 /// Liveness::compute calls, and an unseeded one does exactly one;
-/// CoalesceStats reports both so telemetry can prove it.
+/// CoalesceStats reports both so telemetry can prove it. The oracle
+/// lattice's reference leg (fuzz/Reference.h) diffs every run against a
+/// coalescer that recomputes liveness, ranges and graph on every pass.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +32,6 @@
 #define CCRA_REGALLOC_COALESCER_H
 
 #include "analysis/Liveness.h"
-#include "regalloc/GraphRep.h"
 
 namespace ccra {
 
@@ -58,9 +59,6 @@ struct CoalesceStats {
 struct CoalesceRequest {
   /// Skip the Briggs test, except for copies touching a NoSpill range.
   bool Aggressive = false;
-  /// Maintain liveness across passes by renaming/patching instead of
-  /// re-running the dataflow each pass. Bit-identical either way.
-  bool IncrementalLiveness = true;
   /// The Liveness passed to run() already holds the exact solution for the
   /// incoming code (the cached baseline at round 1, the spill-maintained
   /// solution at later rounds), so the first pass skips its compute too.
@@ -69,9 +67,6 @@ struct CoalesceRequest {
   AllocationScratch *Scratch = nullptr;
   /// Optional recorder for the build_ranges / build_graph phase timers.
   Telemetry *T = nullptr;
-  /// Representation for the per-pass interference graphs (and therefore
-  /// for the final graph handed back through OutIG).
-  GraphRep GraphMode = GraphRep::Auto;
 };
 
 class Coalescer {
@@ -86,13 +81,6 @@ public:
                            const FrequencyInfo &Freq, Liveness &LV,
                            const CoalesceRequest &Req, LiveRangeSet &OutLRS,
                            InterferenceGraph &OutIG);
-
-  /// Compatibility entry point: full liveness recompute every pass, built
-  /// live ranges and graph discarded.
-  static CoalesceStats run(Function &F, VRegClasses &Classes,
-                           const MachineDescription &MD,
-                           const FrequencyInfo &Freq, Liveness &LV,
-                           bool Aggressive);
 };
 
 } // namespace ccra

@@ -39,7 +39,6 @@
 #ifndef CCRA_REGALLOC_INTERFERENCEGRAPH_H
 #define CCRA_REGALLOC_INTERFERENCEGRAPH_H
 
-#include "regalloc/GraphRep.h"
 #include "regalloc/LiveRange.h"
 #include "support/BitVector.h"
 
@@ -50,6 +49,15 @@ namespace ccra {
 
 class AllocationScratch;
 class Liveness;
+
+/// How an InterferenceGraph stores the edge relation (see the file
+/// comment). Production builds always use Auto; Dense and Sparse force one
+/// representation for the tests and the oracle lattice's reference leg.
+enum class GraphRep {
+  Auto,
+  Dense,
+  Sparse,
+};
 
 class InterferenceGraph {
 public:

@@ -4,55 +4,13 @@
 
 #include "target/MachineDescription.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <queue>
 #include <utility>
 
 using namespace ccra;
-
-namespace {
-
-/// State shared by both implementations: degrees, per-node color limits
-/// (shrunk by registers locked from earlier refusals), and keys evaluated
-/// once per node — Key is a pure function of the LiveRange, so caching it
-/// cannot change any pick.
-struct SimplifyState {
-  std::vector<unsigned> Degree;
-  std::vector<unsigned> ColorLimit;
-  std::vector<double> CachedKey;
-  std::vector<bool> Active;
-
-  SimplifyState(const AllocationContext &Ctx, const Simplifier::KeyFn &Key) {
-    const InterferenceGraph &IG = Ctx.IG;
-    const LiveRangeSet &LRS = Ctx.LRS;
-    unsigned NumNodes = IG.numNodes();
-
-    // Registers refused in earlier rounds are locked and shrink the number
-    // of colors actually available — the simplification threshold must
-    // match or the colorability guarantee breaks.
-    unsigned LockedPerBank[NumRegBanks] = {0, 0};
-    for (PhysReg Reg : Ctx.RefusedCalleeRegs)
-      ++LockedPerBank[static_cast<unsigned>(Reg.Bank)];
-
-    Degree.resize(NumNodes);
-    ColorLimit.resize(NumNodes);
-    CachedKey.assign(NumNodes, 0.0);
-    Active.assign(NumNodes, true);
-    for (unsigned I = 0; I < NumNodes; ++I) {
-      Degree[I] = IG.degree(I);
-      RegBank Bank = LRS.range(I).Bank;
-      unsigned Total = Ctx.MD.numRegs(Bank);
-      unsigned Locked =
-          std::min(LockedPerBank[static_cast<unsigned>(Bank)], Total);
-      ColorLimit[I] = Total - Locked;
-      if (Key)
-        CachedKey[I] = Key(LRS.range(I));
-    }
-  }
-};
-
-} // namespace
 
 SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
                                const KeyFn &Key) {
@@ -64,14 +22,34 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
   Result.PushedOptimistically.assign(NumNodes, false);
   Result.Stack.reserve(NumNodes);
 
-  SimplifyState S(Ctx, Key);
+  // Registers refused in earlier rounds are locked and shrink the number of
+  // colors actually available — the simplification threshold must match or
+  // the colorability guarantee breaks.
+  unsigned LockedPerBank[NumRegBanks] = {0, 0};
+  for (PhysReg Reg : Ctx.RefusedCalleeRegs)
+    ++LockedPerBank[static_cast<unsigned>(Reg.Bank)];
+
+  // Keys are evaluated once per node: Key is a pure function of the
+  // LiveRange, so caching it cannot change any pick.
+  std::vector<unsigned> Degree(NumNodes), ColorLimit(NumNodes);
+  std::vector<double> CachedKey(NumNodes, 0.0);
+  std::vector<bool> Active(NumNodes, true);
+  for (unsigned I = 0; I < NumNodes; ++I) {
+    Degree[I] = IG.degree(I);
+    RegBank Bank = LRS.range(I).Bank;
+    unsigned Total = Ctx.MD.numRegs(Bank);
+    ColorLimit[I] =
+        Total - std::min(LockedPerBank[static_cast<unsigned>(Bank)], Total);
+    if (Key)
+      CachedKey[I] = Key(LRS.range(I));
+  }
 
   // Unconstrained active nodes in a (key, index) min-heap: the pop order is
-  // exactly the reference scan's "smallest key, lowest index on ties".
-  // Constrained active nodes in a dense swap-removable set for the blocked
-  // paths. A node enters the heap at most once — degrees only decrease, so
-  // the constrained -> unconstrained transition is one-way — which means no
-  // entry is ever stale while the node is active.
+  // "smallest key, lowest index on ties". Constrained active nodes in a
+  // dense swap-removable set for the blocked paths. A node enters the heap
+  // at most once — degrees only decrease, so the constrained ->
+  // unconstrained transition is one-way — which means no entry is ever
+  // stale while the node is active.
   using HeapEntry = std::pair<double, unsigned>;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       std::greater<HeapEntry>>
@@ -80,8 +58,8 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
   std::vector<unsigned> ConstrainedPos(NumNodes, ~0u);
 
   for (unsigned I = 0; I < NumNodes; ++I) {
-    if (S.Degree[I] < S.ColorLimit[I]) {
-      Unconstrained.push({S.CachedKey[I], I});
+    if (Degree[I] < ColorLimit[I]) {
+      Unconstrained.push({CachedKey[I], I});
     } else {
       ConstrainedPos[I] = static_cast<unsigned>(Constrained.size());
       Constrained.push_back(I);
@@ -99,15 +77,15 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
   };
 
   auto Deactivate = [&](unsigned Node) {
-    S.Active[Node] = false;
+    Active[Node] = false;
     for (unsigned Neighbor : IG.neighbors(Node)) {
-      if (!S.Active[Neighbor])
+      if (!Active[Neighbor])
         continue;
       // An active neighbor's degree counts Node, so it is >= 1 and the
       // decrement is safe. Crossing the limit moves it to the heap.
-      if (S.Degree[Neighbor]-- == S.ColorLimit[Neighbor]) {
+      if (Degree[Neighbor]-- == ColorLimit[Neighbor]) {
         RemoveConstrained(Neighbor);
-        Unconstrained.push({S.CachedKey[Neighbor], Neighbor});
+        Unconstrained.push({CachedKey[Neighbor], Neighbor});
       }
     }
   };
@@ -118,7 +96,7 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
     while (!Unconstrained.empty()) {
       HeapEntry Top = Unconstrained.top();
       Unconstrained.pop();
-      if (S.Active[Top.second]) {
+      if (Active[Top.second]) {
         Best = static_cast<int>(Top.second);
         break;
       }
@@ -130,17 +108,16 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
       continue;
     }
 
-    // Blocked: the heap drained, so every active node is in Constrained and
-    // the scans below cover exactly the nodes the reference scans. Explicit
-    // (metric, index) lexicographic comparisons reproduce its ascending
-    // first-wins tie-break whatever order the set is in.
+    // Blocked: the heap drained, so every active node is in Constrained.
+    // Explicit (metric, index) lexicographic comparisons give the
+    // lowest-index tie-break whatever order the set is in.
     int Victim = -1;
     double VictimMetric = std::numeric_limits<double>::infinity();
     for (unsigned I : Constrained) {
       if (LRS.range(I).NoSpill)
         continue;
       double Metric = LRS.range(I).spillCost() /
-                      static_cast<double>(std::max(S.Degree[I], 1u));
+                      static_cast<double>(std::max(Degree[I], 1u));
       if (Victim < 0 || Metric < VictimMetric ||
           (Metric == VictimMetric && static_cast<int>(I) < Victim)) {
         Victim = static_cast<int>(I);
@@ -154,10 +131,10 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
       // fallback guarantees progress).
       unsigned BestDegree = ~0u;
       for (unsigned I : Constrained)
-        if (S.Degree[I] < BestDegree ||
-            (S.Degree[I] == BestDegree && static_cast<int>(I) < Victim)) {
+        if (Degree[I] < BestDegree ||
+            (Degree[I] == BestDegree && static_cast<int>(I) < Victim)) {
           Victim = static_cast<int>(I);
-          BestDegree = S.Degree[I];
+          BestDegree = Degree[I];
         }
       assert(Victim >= 0 && "no active node while Remaining > 0");
     }
@@ -170,86 +147,6 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
       Result.SpilledNodes.push_back(V);
     }
     RemoveConstrained(V);
-    Deactivate(V);
-    --Remaining;
-  }
-  return Result;
-}
-
-SimplifyResult Simplifier::runReference(const AllocationContext &Ctx,
-                                        bool Optimistic, const KeyFn &Key) {
-  const InterferenceGraph &IG = Ctx.IG;
-  const LiveRangeSet &LRS = Ctx.LRS;
-  unsigned NumNodes = IG.numNodes();
-
-  SimplifyResult Result;
-  Result.PushedOptimistically.assign(NumNodes, false);
-  Result.Stack.reserve(NumNodes);
-
-  SimplifyState S(Ctx, Key);
-
-  auto Deactivate = [&](unsigned Node) {
-    S.Active[Node] = false;
-    for (unsigned Neighbor : IG.neighbors(Node))
-      if (S.Active[Neighbor])
-        --S.Degree[Neighbor];
-  };
-
-  unsigned Remaining = NumNodes;
-  while (Remaining > 0) {
-    // Find the unconstrained node with the smallest key.
-    int Best = -1;
-    double BestKey = std::numeric_limits<double>::infinity();
-    for (unsigned I = 0; I < NumNodes; ++I) {
-      if (!S.Active[I] || S.Degree[I] >= S.ColorLimit[I])
-        continue;
-      double K = S.CachedKey[I];
-      if (Best < 0 || K < BestKey) {
-        Best = static_cast<int>(I);
-        BestKey = K;
-      }
-    }
-    if (Best >= 0) {
-      Result.Stack.push_back(static_cast<unsigned>(Best));
-      Deactivate(static_cast<unsigned>(Best));
-      --Remaining;
-      continue;
-    }
-
-    // Blocked: choose a spill candidate minimizing spillCost / degree.
-    int Victim = -1;
-    double VictimMetric = std::numeric_limits<double>::infinity();
-    for (unsigned I = 0; I < NumNodes; ++I) {
-      if (!S.Active[I] || LRS.range(I).NoSpill)
-        continue;
-      double Metric = LRS.range(I).spillCost() /
-                      static_cast<double>(std::max(S.Degree[I], 1u));
-      if (Victim < 0 || Metric < VictimMetric) {
-        Victim = static_cast<int>(I);
-        VictimMetric = Metric;
-      }
-    }
-    bool EmergencyNoSpill = Victim < 0;
-    if (EmergencyNoSpill) {
-      // Only unspillable reload temporaries remain. Push the one with the
-      // smallest degree and hope color assignment finds room (its steal
-      // fallback guarantees progress).
-      unsigned BestDegree = ~0u;
-      for (unsigned I = 0; I < NumNodes; ++I)
-        if (S.Active[I] && S.Degree[I] < BestDegree) {
-          Victim = static_cast<int>(I);
-          BestDegree = S.Degree[I];
-        }
-      assert(Victim >= 0 && "no active node while Remaining > 0");
-    }
-
-    unsigned V = static_cast<unsigned>(Victim);
-    if (Optimistic || EmergencyNoSpill) {
-      Result.Stack.push_back(V);
-      Result.PushedOptimistically[V] = true;
-    } else {
-      Result.SpilledNodes.push_back(V);
-    }
     Deactivate(V);
     --Remaining;
   }

@@ -13,23 +13,21 @@
 /// Optimistic (Briggs) mode pushes the blocked pick instead of spilling it;
 /// the spill decision is deferred to color assignment (§8).
 ///
-/// Two implementations share these semantics bit-for-bit:
+/// The implementation is worklist-driven. Unconstrained nodes live in a
+/// (key, index) min-heap over keys cached once per run; constrained nodes
+/// in a dense set. Deactivating a node decrements neighbor degrees and
+/// migrates a neighbor that drops below its color limit from the
+/// constrained set to the heap, so a full pass costs O((V + E) log V)
+/// instead of the classic rescan's O(V^2).
 ///
-///  - run(): worklist-driven. Unconstrained nodes live in a (key, index)
-///    min-heap over keys cached once per run; constrained nodes in a dense
-///    set. Deactivating a node decrements neighbor degrees and migrates a
-///    neighbor that drops below its color limit from the constrained set to
-///    the heap, so a full pass costs O((V + E) log V) instead of the
-///    reference's O(V^2).
-///  - runReference(): the original rescan-everything loop, retained as the
-///    equivalence oracle for tests and the perf_grid legacy arm.
-///
-/// Identical output is an invariant, not an accident: every tie in both
-/// implementations resolves to the lowest node index (the heap orders by
-/// (key, index); the reference's first-wins scans visit indices
-/// ascending), keys are pure functions of the LiveRange so caching cannot
-/// change them, and a node transitions constrained -> unconstrained at most
-/// once because degrees only decrease while color limits are fixed.
+/// Every tie resolves to the lowest node index (the heap orders by
+/// (key, index); the blocked-path scans compare (metric, index)), keys are
+/// pure functions of the LiveRange so caching cannot change them, and a
+/// node transitions constrained -> unconstrained at most once because
+/// degrees only decrease while color limits are fixed. The O(V^2) rescan
+/// loop lives on as fuzz/Reference.h's referenceSimplify; the oracle
+/// lattice, tests/SimplifierTest.cpp and bench/perf_scaling hold run() to
+/// it byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +49,8 @@ struct SimplifyResult {
   /// Per live-range flag: pushed while simplification was blocked, so a
   /// color is not guaranteed.
   std::vector<bool> PushedOptimistically;
+
+  bool operator==(const SimplifyResult &Other) const = default;
 };
 
 class Simplifier {
@@ -61,13 +61,6 @@ public:
 
   static SimplifyResult run(const AllocationContext &Ctx, bool Optimistic,
                             const KeyFn &Key = nullptr);
-
-  /// The O(V^2) reference implementation. Produces byte-identical results
-  /// to run() on every input; kept for the equivalence tests and the
-  /// AllocatorOptions::LegacySimplifier escape hatch.
-  static SimplifyResult runReference(const AllocationContext &Ctx,
-                                     bool Optimistic,
-                                     const KeyFn &Key = nullptr);
 };
 
 } // namespace ccra

@@ -159,11 +159,11 @@ struct AllocRequest {
   RegisterConfig Config = RegisterConfig(9, 7, 3, 3);
   FrequencyMode Mode = FrequencyMode::Profile;
   /// Ships as AllocatorOptions::canonicalKey(): behavior-affecting fields
-  /// only. Execution-strategy fields (Jobs, GraphMode, ...) are the
-  /// SERVER's policy, not the client's — results are bit-identical across
-  /// them, so a request carrying them could only fragment the server's
-  /// content-addressed cache. A parsed request therefore holds defaults
-  /// for every excluded field.
+  /// only. Jobs, Verify and VerifyReportOnly are the SERVER's policy, not
+  /// the client's — results are bit-identical across them, so a request
+  /// carrying them could only fragment the server's content-addressed
+  /// cache. parseAllocatorOptions rejects their keys, so a parsed request
+  /// holds defaults for every excluded field.
   AllocatorOptions Options;
   /// Admission deadline in milliseconds from arrival; 0 = none. A request
   /// still queued when its deadline expires is answered with an Error

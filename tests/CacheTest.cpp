@@ -204,7 +204,7 @@ TEST(AllocationCacheKey, CoversResultFieldsAndIgnoresAdmissionControl) {
   EXPECT_EQ(Key, allocationCacheKey(Deadline));
   AllocRequest Exec = R;
   Exec.Options.Jobs = 16;
-  Exec.Options.ScratchArenas = !Exec.Options.ScratchArenas;
+  Exec.Options.VerifyReportOnly = !Exec.Options.VerifyReportOnly;
   EXPECT_EQ(Key, allocationCacheKey(Exec));
 }
 

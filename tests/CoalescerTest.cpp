@@ -3,7 +3,9 @@
 #include "analysis/Frequency.h"
 #include "analysis/Liveness.h"
 #include "core/EngineBuilder.h"
+#include "fuzz/Reference.h"
 #include "ir/IRBuilder.h"
+#include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 #include "regalloc/Coalescer.h"
 #include "regalloc/InterferenceGraph.h"
@@ -18,6 +20,17 @@
 using namespace ccra;
 
 namespace {
+
+/// Coalesces \p F unseeded, discarding the final live ranges and graph.
+CoalesceStats coalesce(Function &F, VRegClasses &Classes,
+                       const MachineDescription &MD, const FrequencyInfo &Freq,
+                       Liveness &LV, bool Aggressive) {
+  CoalesceRequest Req;
+  Req.Aggressive = Aggressive;
+  LiveRangeSet LRS;
+  InterferenceGraph IG;
+  return Coalescer::run(F, Classes, MD, Freq, LV, Req, LRS, IG);
+}
 
 unsigned countMoves(const Function &F) {
   unsigned Count = 0;
@@ -38,8 +51,7 @@ struct CoalesceFixture {
     FrequencyInfo Freq = FrequencyInfo::compute(M, FrequencyMode::Profile);
     Classes.grow(F->numVRegs());
     Liveness LV;
-    CoalesceStats Stats =
-        Coalescer::run(*F, Classes, MD, Freq, LV, Aggressive);
+    CoalesceStats Stats = coalesce(*F, Classes, MD, Freq, LV, Aggressive);
     EXPECT_TRUE(verifyModule(M, nullptr));
     return Stats;
   }
@@ -126,7 +138,7 @@ TEST(CoalescerTest, ConservativeTestBlocksRiskyMergeAggressiveTakesIt) {
   Liveness LV1;
   MachineDescription Small(RegisterConfig(2, 2, 0, 0));
   CoalesceStats Conservative =
-      Coalescer::run(*F1, Classes1, Small, Freq1, LV1, false);
+      coalesce(*F1, Classes1, Small, Freq1, LV1, false);
 
   Module M2("m2");
   Function *F2 = Build(M2);
@@ -134,7 +146,7 @@ TEST(CoalescerTest, ConservativeTestBlocksRiskyMergeAggressiveTakesIt) {
   VRegClasses Classes2(F2->numVRegs());
   Liveness LV2;
   CoalesceStats Aggressive =
-      Coalescer::run(*F2, Classes2, Small, Freq2, LV2, true);
+      coalesce(*F2, Classes2, Small, Freq2, LV2, true);
 
   EXPECT_EQ(Conservative.CoalescedMoves, 0u);
   EXPECT_EQ(Aggressive.CoalescedMoves, 1u);
@@ -169,7 +181,7 @@ TEST(CoalescerTest, LivenessReturnedMatchesFinalCode) {
   FrequencyInfo Freq = FrequencyInfo::compute(Fx.M, FrequencyMode::Profile);
   Fx.Classes.grow(Fx.F->numVRegs());
   Liveness LV;
-  Coalescer::run(*Fx.F, Fx.Classes, Fx.MD, Freq, LV, false);
+  coalesce(*Fx.F, Fx.Classes, Fx.MD, Freq, LV, false);
   Liveness Fresh = Liveness::compute(*Fx.F);
   for (const auto &BB : Fx.F->blocks()) {
     EXPECT_TRUE(LV.liveIn(*BB) == Fresh.liveIn(*BB));
@@ -177,11 +189,11 @@ TEST(CoalescerTest, LivenessReturnedMatchesFinalCode) {
   }
 }
 
-TEST(CoalescerTest, IncrementalLivenessMatchesFreshCompute) {
-  // The incremental mode renames/patches the liveness solution across
-  // passes instead of recomputing it; the maintained solution must equal a
-  // fresh dataflow run on the final code, for every combination of
-  // aggressive coalescing and baseline seeding, across random programs.
+TEST(CoalescerTest, MaintainedLivenessMatchesFreshCompute) {
+  // The coalescer renames/patches the liveness solution across passes
+  // instead of recomputing it; the maintained solution must equal a fresh
+  // dataflow run on the final code, for every combination of aggressive
+  // coalescing and baseline seeding, across random programs.
   for (uint64_t Seed : {3u, 7u, 19u, 42u}) {
     RandomProgramParams Params;
     Params.Seed = Seed;
@@ -203,7 +215,6 @@ TEST(CoalescerTest, IncrementalLivenessMatchesFreshCompute) {
           Liveness LV;
           CoalesceRequest Req;
           Req.Aggressive = Aggressive;
-          Req.IncrementalLiveness = true;
           if (Seeded) {
             LV = Liveness::compute(F);
             Req.SeededLV = true;
@@ -225,46 +236,46 @@ TEST(CoalescerTest, IncrementalLivenessMatchesFreshCompute) {
   }
 }
 
-TEST(CoalescerTest, IncrementalLivenessPreservesMergeDecisions) {
-  // Same merges, same final code, either liveness mode.
-  for (uint64_t Seed : {5u, 11u}) {
-    RandomProgramParams Params;
-    Params.Seed = Seed;
-    Params.NumFunctions = 3;
-    Params.RegionsPerFunction = 4;
-    Params.IntValues = 8;
-    Params.FloatValues = 4;
-    std::unique_ptr<Module> A = generateRandomProgram(Params);
-    std::unique_ptr<Module> B = generateRandomProgram(Params);
-    MachineDescription MD{RegisterConfig(6, 4, 2, 2)};
-    FrequencyInfo FreqA = FrequencyInfo::compute(*A, FrequencyMode::Profile);
-    FrequencyInfo FreqB = FrequencyInfo::compute(*B, FrequencyMode::Profile);
-    for (std::size_t I = 0; I < A->functions().size(); ++I) {
-      Function &FA = *A->functions()[I];
-      Function &FB = *B->functions()[I];
-      if (FA.isDeclaration())
-        continue;
-      VRegClasses ClassesA(FA.numVRegs()), ClassesB(FB.numVRegs());
-      Liveness LVA, LVB;
-      CoalesceRequest ReqA;
-      ReqA.IncrementalLiveness = true;
-      CoalesceRequest ReqB;
-      ReqB.IncrementalLiveness = false;
-      LiveRangeSet LRSA, LRSB;
-      InterferenceGraph IGA, IGB;
-      CoalesceStats SA =
-          Coalescer::run(FA, ClassesA, MD, FreqA, LVA, ReqA, LRSA, IGA);
-      CoalesceStats SB =
-          Coalescer::run(FB, ClassesB, MD, FreqB, LVB, ReqB, LRSB, IGB);
-      EXPECT_EQ(SA.CoalescedMoves, SB.CoalescedMoves);
-      EXPECT_EQ(SA.Passes, SB.Passes);
-      EXPECT_EQ(countMoves(FA), countMoves(FB));
-      EXPECT_EQ(LRSA.numRanges(), LRSB.numRanges());
-      EXPECT_EQ(IGA.numEdges(), IGB.numEdges());
-      for (unsigned V = 0; V < FA.numVRegs(); ++V)
-        EXPECT_EQ(ClassesA.find(VirtReg(V)), ClassesB.find(VirtReg(V)));
+TEST(CoalescerTest, MergeDecisionsMatchReferenceCoalescer) {
+  // Same merges, same final code and the same pass count as the reference
+  // coalescer, which recomputes liveness, ranges and graph every pass.
+  for (uint64_t Seed : {5u, 11u})
+    for (bool Aggressive : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << Seed << " aggressive " << Aggressive);
+      RandomProgramParams Params;
+      Params.Seed = Seed;
+      Params.NumFunctions = 3;
+      Params.RegionsPerFunction = 4;
+      Params.IntValues = 8;
+      Params.FloatValues = 4;
+      std::unique_ptr<Module> A = generateRandomProgram(Params);
+      std::unique_ptr<Module> B = generateRandomProgram(Params);
+      MachineDescription MD{RegisterConfig(6, 4, 2, 2)};
+      FrequencyInfo FreqA = FrequencyInfo::compute(*A, FrequencyMode::Profile);
+      FrequencyInfo FreqB = FrequencyInfo::compute(*B, FrequencyMode::Profile);
+      for (std::size_t I = 0; I < A->functions().size(); ++I) {
+        Function &FA = *A->functions()[I];
+        Function &FB = *B->functions()[I];
+        if (FA.isDeclaration())
+          continue;
+        VRegClasses ClassesA(FA.numVRegs()), ClassesB(FB.numVRegs());
+        Liveness LVA;
+        CoalesceStats SA =
+            coalesce(FA, ClassesA, MD, FreqA, LVA, Aggressive);
+        CoalesceStats SB =
+            referenceCoalesce(FB, ClassesB, MD, FreqB, Aggressive);
+        EXPECT_EQ(SA.CoalescedMoves, SB.CoalescedMoves);
+        EXPECT_EQ(SA.Passes, SB.Passes);
+        EXPECT_EQ(countMoves(FA), countMoves(FB));
+        std::string TextA, TextB;
+        printFunction(FA, TextA);
+        printFunction(FB, TextB);
+        EXPECT_EQ(TextA, TextB);
+        for (unsigned V = 0; V < FA.numVRegs(); ++V)
+          EXPECT_EQ(ClassesA.find(VirtReg(V)), ClassesB.find(VirtReg(V)));
+      }
     }
-  }
 }
 
 TEST(CoalescerTest, FloatMovesCoalesceToo) {

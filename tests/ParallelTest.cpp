@@ -222,35 +222,44 @@ TEST(ParallelAllocation, TelemetryCountersMatchSerial) {
 }
 
 TEST(ParallelAllocation, OptimizationsOnOffBitIdenticalAtAnyJobs) {
-  // The three throughput features — incremental liveness (with or without
-  // a cached baseline seed), scratch arenas, and the shared pool — are
-  // pure compute-sharing: allocations and costs must be bit-identical
+  // The throughput features — one scratch arena shared across a module's
+  // functions, the cached baseline-liveness seed, and the shared pool —
+  // are pure compute-sharing: allocations and costs must be bit-identical
   // with all of them on or off, serial or parallel.
   std::unique_ptr<Module> M = generateRandomProgram(manyFunctionParams(91));
-  AllocatorOptions On = improvedOptions();
-  On.IncrementalLiveness = true;
-  On.ScratchArenas = true;
-  AllocatorOptions Off = On;
-  Off.IncrementalLiveness = false;
-  Off.ScratchArenas = false;
+  AllocatorOptions Opts = improvedOptions();
 
-  std::unique_ptr<Module> RefClone;
-  ModuleAllocationResult Ref = allocateClone(*M, 1, Off, RefClone);
+  // Off: one allocateFunction call per body, each with a private arena.
+  std::unique_ptr<Module> RefClone = cloneModule(*M);
+  FrequencyInfo Freq =
+      FrequencyInfo::compute(*RefClone, FrequencyMode::Profile);
+  AllocationEngine Engine =
+      EngineBuilder(RegisterConfig(6, 4, 2, 2)).options(Opts).build();
+  ModuleAllocationResult Ref;
+  for (const auto &F : RefClone->functions()) {
+    if (F->isDeclaration())
+      continue;
+    FunctionAllocation FA = Engine.allocateFunction(*F, Freq);
+    Ref.Totals += FA.Costs;
+    Ref.PerFunction[F.get()] = std::move(FA);
+  }
+
   for (unsigned Jobs : {1u, 8u}) {
     std::unique_ptr<Module> OnClone;
-    ModuleAllocationResult WithOn = allocateClone(*M, Jobs, On, OnClone);
+    ModuleAllocationResult WithOn = allocateClone(*M, Jobs, Opts, OnClone);
     expectIdenticalAllocations(*RefClone, Ref, *OnClone, WithOn);
 
     // Through the harness, with the shared analysis cache and pool.
     ModuleAnalysisCache Cache;
     ThreadPool Pool(Jobs);
     ExperimentRun Cached = runExperiment(
-        {M.get(), RegisterConfig(6, 4, 2, 2), On, FrequencyMode::Profile,
+        {M.get(), RegisterConfig(6, 4, 2, 2), Opts, FrequencyMode::Profile,
          Jobs},
         &Cache, &Pool);
     ExperimentRun Plain = runExperiment({M.get(), RegisterConfig(6, 4, 2, 2),
-                                         Off, FrequencyMode::Profile, 1});
+                                         Opts, FrequencyMode::Profile, 1});
     EXPECT_EQ(Cached.Result.Costs.total(), Plain.Result.Costs.total());
+    EXPECT_EQ(Cached.Result.Costs.total(), Ref.Totals.total());
     EXPECT_EQ(Cached.Result.SpilledRanges, Plain.Result.SpilledRanges);
     EXPECT_EQ(Cached.Result.CoalescedMoves, Plain.Result.CoalescedMoves);
     EXPECT_EQ(Cached.Result.Cycles, Plain.Result.Cycles);

@@ -184,12 +184,12 @@ TEST(AllocationRelations, OptimisticNeverSpillsMoreThanChaitin) {
   }
 }
 
-// --- AllocatorOptions textual round trip ---------------------------------------
+// --- AllocatorOptions text form ------------------------------------------
 //
-// Fuzz reproducer headers embed the full serializeAllocatorOptions form, so
-// the round trip must be exact over the *whole* option space — every field,
-// including Jobs, the cost-model enums, and the legacy toggles. (The wire
-// protocol ships the behavior-only canonicalKey() instead; see below.)
+// canonicalKey() is the one text form: the wire protocol, the allocation
+// cache and `ccra_cc --options=` use it, and parseAllocatorOptions accepts
+// exactly its keys. Jobs, Verify and VerifyReportOnly have no text form
+// and parse back at their defaults.
 
 AllocatorOptions randomOptions(Rng &R) {
   AllocatorOptions O;
@@ -207,28 +207,19 @@ AllocatorOptions randomOptions(Rng &R) {
   O.MaterializeSaveRestore = R.nextBool();
   O.Verify = R.nextBool();
   O.VerifyReportOnly = R.nextBool();
-  O.IncrementalReconstruction = R.nextBool();
-  O.IncrementalLiveness = R.nextBool();
-  O.ScratchArenas = R.nextBool();
-  O.GraphMode = static_cast<GraphRep>(R.nextBelow(3));
-  O.LegacySimplifier = R.nextBool();
-  O.MaxRounds = static_cast<unsigned>(R.nextBelow(1000));
+  // In [64, 1000): parseAllocatorOptions rejects caps below the default.
+  O.MaxRounds = 64 + static_cast<unsigned>(R.nextBelow(1000 - 64));
   O.Jobs = static_cast<unsigned>(R.nextBelow(64));
   return O;
 }
 
-TEST(OptionsRoundTrip, RandomOptionSpaceIsExact) {
-  Rng R(20260806);
-  for (int I = 0; I < 2000; ++I) {
-    AllocatorOptions O = randomOptions(R);
-    std::string Text = serializeAllocatorOptions(O);
-    AllocatorOptions Back;
-    std::string Err;
-    ASSERT_TRUE(parseAllocatorOptions(Text, Back, &Err)) << Text << ": " << Err;
-    EXPECT_TRUE(O == Back) << Text;
-    // The serialized form itself is canonical: a second trip is a fixpoint.
-    EXPECT_EQ(Text, serializeAllocatorOptions(Back));
-  }
+/// \p O with the fields canonicalKey omits reset to their defaults.
+AllocatorOptions withDefaultExecutionFields(AllocatorOptions O) {
+  AllocatorOptions Defaults;
+  O.Verify = Defaults.Verify;
+  O.VerifyReportOnly = Defaults.VerifyReportOnly;
+  O.Jobs = Defaults.Jobs;
+  return O;
 }
 
 TEST(OptionsRoundTrip, NamedConfigurationsAreExact) {
@@ -239,23 +230,23 @@ TEST(OptionsRoundTrip, NamedConfigurationsAreExact) {
         priorityOptions(PriorityOrdering::SortUnconstrained), priorityOptions(),
         cbhOptions()}) {
     AllocatorOptions Back;
-    ASSERT_TRUE(parseAllocatorOptions(serializeAllocatorOptions(O), Back));
-    EXPECT_TRUE(O == Back) << serializeAllocatorOptions(O);
+    ASSERT_TRUE(parseAllocatorOptions(O.canonicalKey(), Back));
+    EXPECT_TRUE(O == Back) << O.canonicalKey();
   }
 }
 
 TEST(OptionsRoundTrip, TokensParseInAnyOrderAndOmittedFieldsDefault) {
   AllocatorOptions O;
-  ASSERT_TRUE(parseAllocatorOptions("jobs=7 kind=cbh", O));
+  ASSERT_TRUE(parseAllocatorOptions("max-rounds=70 kind=cbh", O));
   AllocatorOptions Expected;
   Expected.Kind = AllocatorKind::CBH;
-  Expected.Jobs = 7;
+  Expected.MaxRounds = 70;
   EXPECT_TRUE(O == Expected);
 
-  // Reversed full form parses to the same struct as the canonical order.
+  // A reversed key parses to the same struct as the canonical order.
   Rng R(99);
   AllocatorOptions Sample = randomOptions(R);
-  std::istringstream IS(serializeAllocatorOptions(Sample));
+  std::istringstream IS(Sample.canonicalKey());
   std::vector<std::string> Tokens;
   for (std::string T; IS >> T;)
     Tokens.push_back(T);
@@ -264,7 +255,7 @@ TEST(OptionsRoundTrip, TokensParseInAnyOrderAndOmittedFieldsDefault) {
     Reversed += (Reversed.empty() ? "" : " ") + *It;
   AllocatorOptions Back;
   ASSERT_TRUE(parseAllocatorOptions(Reversed, Back));
-  EXPECT_TRUE(Sample == Back);
+  EXPECT_TRUE(withDefaultExecutionFields(Sample) == Back);
 }
 
 TEST(OptionsRoundTrip, MalformedInputIsRejected) {
@@ -273,7 +264,7 @@ TEST(OptionsRoundTrip, MalformedInputIsRejected) {
   EXPECT_FALSE(parseAllocatorOptions("kind=nonsense", O, &Err));
   EXPECT_FALSE(Err.empty());
   EXPECT_FALSE(parseAllocatorOptions("no-such-key=1", O));
-  EXPECT_FALSE(parseAllocatorOptions("jobs=notanumber", O));
+  EXPECT_FALSE(parseAllocatorOptions("max-rounds=notanumber", O));
   EXPECT_FALSE(parseAllocatorOptions("optimistic=2", O));
   EXPECT_FALSE(parseAllocatorOptions("=1", O));
   EXPECT_FALSE(parseAllocatorOptions("kind", O));
@@ -282,23 +273,55 @@ TEST(OptionsRoundTrip, MalformedInputIsRejected) {
   EXPECT_TRUE(O == AllocatorOptions());
 }
 
+TEST(OptionsRoundTrip, ParseRejectsEveryNonCanonicalKey) {
+  // Every key canonicalKey emits is accepted on its own...
+  std::istringstream IS(AllocatorOptions().canonicalKey());
+  for (std::string Token; IS >> Token;) {
+    AllocatorOptions O;
+    EXPECT_TRUE(parseAllocatorOptions(Token, O)) << Token;
+  }
+  // ...and nothing else: not the excluded fields, not the keys of the
+  // execution-strategy toggles the allocator no longer has.
+  for (const char *Token :
+       {"jobs=1", "verify=1", "verify-report-only=0",
+        "incremental-reconstruction=1", "incremental-liveness=1",
+        "scratch-arenas=1", "graph=auto", "legacy-simplifier=0"}) {
+    AllocatorOptions O;
+    std::string Err;
+    EXPECT_FALSE(parseAllocatorOptions(Token, O, &Err)) << Token;
+    EXPECT_NE(Err.find("unknown option key"), std::string::npos) << Err;
+  }
+}
+
+TEST(OptionsRoundTrip, MaxRoundsBelowDefaultIsRejected) {
+  // Allocation asserts convergence within MaxRounds, so a lower cap from
+  // text input could only abort the process.
+  for (const char *Token : {"max-rounds=0", "max-rounds=63"}) {
+    AllocatorOptions O;
+    std::string Err;
+    EXPECT_FALSE(parseAllocatorOptions(Token, O, &Err)) << Token;
+    EXPECT_NE(Err.find("max-rounds"), std::string::npos) << Err;
+  }
+  for (unsigned Rounds : {64u, 1000u}) {
+    AllocatorOptions O;
+    ASSERT_TRUE(parseAllocatorOptions(
+        "kind=improved max-rounds=" + std::to_string(Rounds), O));
+    EXPECT_EQ(O.MaxRounds, Rounds);
+  }
+}
+
 // --- AllocatorOptions::canonicalKey --------------------------------------
 //
 // The one true cache/serialization form: the wire protocol and the
 // allocation cache both key on it, so it must cover exactly the fields
 // that change WHAT is computed and be blind to every field that only
-// changes HOW. The determinism lattice (OracleTest) proves the excluded
-// fields never change results; these tests pin the key to that split.
+// changes HOW. The oracle lattice (FuzzTest) proves the excluded fields
+// never change results; these tests pin the key to that split.
 
-/// Rerandomizes every execution-strategy field canonicalKey excludes.
+/// Rerandomizes every field canonicalKey excludes.
 void scrambleExecutionFields(AllocatorOptions &O, Rng &R) {
   O.Verify = R.nextBool();
   O.VerifyReportOnly = R.nextBool();
-  O.IncrementalReconstruction = R.nextBool();
-  O.IncrementalLiveness = R.nextBool();
-  O.ScratchArenas = R.nextBool();
-  O.GraphMode = static_cast<GraphRep>(R.nextBelow(3));
-  O.LegacySimplifier = R.nextBool();
   O.Jobs = static_cast<unsigned>(R.nextBelow(64));
 }
 
@@ -309,8 +332,7 @@ TEST(CanonicalKey, ExecutionStrategyNeverPerturbsTheKey) {
     AllocatorOptions B = A;
     scrambleExecutionFields(B, R);
     EXPECT_EQ(A.canonicalKey(), B.canonicalKey())
-        << serializeAllocatorOptions(A) << " vs "
-        << serializeAllocatorOptions(B);
+        << A.canonicalKey() << " jobs " << A.Jobs << " vs " << B.Jobs;
   }
 }
 
@@ -357,7 +379,7 @@ TEST(CanonicalKey, EveryBehaviorFieldPerturbsTheKey) {
     for (Mutator Mutate : Mutations) {
       AllocatorOptions B = A;
       Mutate(B);
-      EXPECT_NE(Key, B.canonicalKey()) << serializeAllocatorOptions(A);
+      EXPECT_NE(Key, B.canonicalKey()) << Key;
     }
   }
 }
@@ -375,17 +397,7 @@ TEST(CanonicalKey, KeyIsAParsableFixpoint) {
         << A.canonicalKey() << ": " << Err;
     EXPECT_EQ(A.canonicalKey(), Back.canonicalKey());
 
-    AllocatorOptions Expected = A;
-    AllocatorOptions Defaults;
-    Expected.Verify = Defaults.Verify;
-    Expected.VerifyReportOnly = Defaults.VerifyReportOnly;
-    Expected.IncrementalReconstruction = Defaults.IncrementalReconstruction;
-    Expected.IncrementalLiveness = Defaults.IncrementalLiveness;
-    Expected.ScratchArenas = Defaults.ScratchArenas;
-    Expected.GraphMode = Defaults.GraphMode;
-    Expected.LegacySimplifier = Defaults.LegacySimplifier;
-    Expected.Jobs = Defaults.Jobs;
-    EXPECT_TRUE(Expected == Back) << A.canonicalKey();
+    EXPECT_TRUE(withDefaultExecutionFields(A) == Back) << A.canonicalKey();
   }
 }
 

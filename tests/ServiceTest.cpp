@@ -387,6 +387,29 @@ TEST(Service, MalformedModuleAnswersErrorAndKeepsConnection) {
   EXPECT_EQ(RpcStatus::Ok, C.allocate(Good, Response, ServerError));
 }
 
+TEST(Service, MaxRoundsBelowDefaultAnswersErrorAndKeepsServing) {
+  // A cap below the default can only turn a converging allocation into
+  // the engine's convergence abort, which would take the whole daemon
+  // down. The request must be rejected at parse time instead.
+  LiveServer S;
+  ServiceClient C = S.connect();
+
+  AllocRequest Bad = proxyRequest("eqntott");
+  Bad.Options.MaxRounds = 0;
+  AllocResponse Response;
+  ErrorResponse ServerError;
+  EXPECT_EQ(RpcStatus::Rejected, C.allocate(Bad, Response, ServerError));
+  EXPECT_EQ("malformed", ServerError.Code);
+  EXPECT_NE(ServerError.Message.find("max-rounds"), std::string::npos)
+      << ServerError.Message;
+
+  // The same server, on the same connection, answers the next request.
+  AllocRequest Good = proxyRequest("eqntott");
+  std::string Err;
+  EXPECT_EQ(RpcStatus::Ok, C.allocate(Good, Response, ServerError, &Err))
+      << Err;
+}
+
 TEST(Service, GarbageAndTornFramesNeverTakeTheServerDown) {
   LiveServer S;
 

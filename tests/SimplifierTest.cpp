@@ -1,6 +1,7 @@
 //===- tests/SimplifierTest.cpp - Simplification phase unit tests ---------===//
 
 #include "TestUtil.h"
+#include "fuzz/Reference.h"
 #include "regalloc/Simplifier.h"
 
 #include <gtest/gtest.h>
@@ -142,10 +143,11 @@ TEST(Simplifier, CascadingRemovalUnlocksNeighbors) {
 
 // --- Worklist vs reference equivalence ----------------------------------
 //
-// run() and runReference() must produce byte-identical results on every
-// input: same stack, same spill set, same optimistic flags. The scenarios
-// below sweep seeds, both key strategies, optimistic on/off, NoSpill
-// flags, and refused-callee locking.
+// Simplifier::run() and the O(V^2) referenceSimplify() (fuzz/Reference.h)
+// must produce byte-identical results on every input: same stack, same
+// spill set, same optimistic flags. The scenarios below sweep seeds, both
+// key strategies, optimistic on/off, NoSpill flags, refused-callee locking,
+// and a graph large enough for the sparse representation.
 
 /// Pseudo-random scenario over both banks with mixed costs, NoSpill flags
 /// and ~15% edge density; deterministic in \p Seed.
@@ -210,9 +212,8 @@ TEST(SimplifierEquivalence, WorklistMatchesReferenceAcrossSeedsKeysModes) {
                                         << Optimistic << " key=" << NK.Name);
         ScenarioBuilder S(RegisterConfig(3, 1, 2, 1), 100);
         AllocationContext &Ctx = buildEquivalenceScenario(S, Seed, 40);
-        expectIdenticalResults(
-            Simplifier::run(Ctx, Optimistic, NK.Key),
-            Simplifier::runReference(Ctx, Optimistic, NK.Key));
+        expectIdenticalResults(Simplifier::run(Ctx, Optimistic, NK.Key),
+                               referenceSimplify(Ctx, Optimistic, NK.Key));
       }
 }
 
@@ -226,7 +227,7 @@ TEST(SimplifierEquivalence, UniformKeysTieBreakToLowestIndex) {
   AllocationContext &Ctx = S.context();
   Simplifier::KeyFn Constant = [](const LiveRange &) { return 1.0; };
   SimplifyResult A = Simplifier::run(Ctx, false, Constant);
-  expectIdenticalResults(A, Simplifier::runReference(Ctx, false, Constant));
+  expectIdenticalResults(A, referenceSimplify(Ctx, false, Constant));
   std::vector<unsigned> Ascending(12);
   for (unsigned I = 0; I < 12; ++I)
     Ascending[I] = I;
@@ -243,9 +244,9 @@ TEST(SimplifierEquivalence, RefusedCalleeRegistersLockIdentically) {
       Ctx.RefusedCalleeRegs = {PhysReg(RegBank::Int, 1),
                                PhysReg(RegBank::Int, 2),
                                PhysReg(RegBank::Float, 0)};
-      expectIdenticalResults(Simplifier::run(Ctx, Optimistic, deltaBenefitKey),
-                             Simplifier::runReference(Ctx, Optimistic,
-                                                      deltaBenefitKey));
+      expectIdenticalResults(
+          Simplifier::run(Ctx, Optimistic, deltaBenefitKey),
+          referenceSimplify(Ctx, Optimistic, deltaBenefitKey));
     }
 }
 
@@ -262,9 +263,40 @@ TEST(SimplifierEquivalence, EmergencyNoSpillPathMatches) {
   for (unsigned I = 0; I < 4; ++I)
     Ctx.LRS.range(I).NoSpill = true;
   SimplifyResult A = Simplifier::run(Ctx, false);
-  expectIdenticalResults(A, Simplifier::runReference(Ctx, false));
+  expectIdenticalResults(A, referenceSimplify(Ctx, false));
   EXPECT_TRUE(A.SpilledNodes.empty()); // NoSpill nodes are pushed, not spilled
   EXPECT_EQ(A.Stack.size(), 4u);
+}
+
+TEST(SimplifierEquivalence, StaggeredChainAboveDenseThresholdMatches) {
+  // A staggered chain (node I interferes with the next 6) one step past
+  // the dense/sparse switch: the clique number 7 exceeds the 5 integer
+  // registers, so both the unconstrained and the blocked paths run over
+  // sparse adjacency.
+  const unsigned NumNodes = InterferenceGraph::DenseNodeThreshold + 1;
+  for (bool Optimistic : {false, true})
+    for (bool Keyed : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "optimistic=" << Optimistic << " keyed=" << Keyed);
+      ScenarioBuilder S(RegisterConfig(3, 0, 2, 0), 100);
+      uint64_t X = 12345;
+      for (unsigned I = 0; I < NumNodes; ++I) {
+        X = X * 6364136223846793005ull + 1442695040888963407ull;
+        S.addRange(RegBank::Int, 1.0 + static_cast<double>((X >> 33) % 997),
+                   static_cast<double>((X >> 45) % 311),
+                   /*ContainsCall=*/(X >> 40) % 2 == 0);
+      }
+      for (unsigned A = 0; A < NumNodes; ++A)
+        for (unsigned B = A + 1; B < std::min(NumNodes, A + 7); ++B)
+          S.addEdge(A, B);
+      AllocationContext &Ctx = S.context();
+      ASSERT_EQ(Ctx.IG.activeRep(), GraphRep::Sparse);
+      Simplifier::KeyFn Key = Keyed ? deltaBenefitKey : Simplifier::KeyFn();
+      SimplifyResult A = Simplifier::run(Ctx, Optimistic, Key);
+      expectIdenticalResults(A, referenceSimplify(Ctx, Optimistic, Key));
+      EXPECT_EQ(A.Stack.size() + A.SpilledNodes.size(), NumNodes);
+      EXPECT_EQ(A.SpilledNodes.empty(), Optimistic);
+    }
 }
 
 } // namespace

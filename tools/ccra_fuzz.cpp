@@ -1,12 +1,12 @@
 //===- tools/ccra_fuzz.cpp - Differential fuzzing driver ------------------===//
 //
 // Sweeps seeded random modules (workloads/FuzzGen.h) through the oracle
-// lattice (fuzz/Oracle.h): every optimization toggle the allocator has
-// grown is cross-checked against the baseline execution model, and every
-// leg is held to the soundness oracles (allocation verifier, IR verifier,
-// analytic-vs-measured cost reconciliation). On a mismatch the module is
-// shrunk (fuzz/Shrinker.h) into a minimal reproducer and written to the
-// corpus directory; committed corpus files replay as tier-1 tests
+// lattice (fuzz/Oracle.h): parallel and cache-seeded allocation against
+// the serial baseline, the production phases against fuzz/Reference.h,
+// and every leg against the soundness oracles (allocation verifier, IR
+// verifier, analytic-vs-measured cost reconciliation). On a mismatch the
+// module is shrunk (fuzz/Shrinker.h) into a minimal reproducer and written
+// to the corpus directory; committed corpus files replay as tier-1 tests
 // (tests/FuzzTest.cpp).
 //
 // Every generated and replayed module is additionally held to the wire

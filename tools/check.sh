@@ -5,12 +5,12 @@
 # determinism suite, and the telemetry recorder — under it; finally run
 # the Release-mode perf smokes: the grid-throughput benchmark
 # (bench/perf_grid) and the per-function scaling benchmark
-# (bench/perf_scaling), both of which exit non-zero if the optimized
-# paths (shared caches/arenas, sparse graphs, worklist simplifier) ever
-# diverge bit-for-bit from the legacy execution model; and last, the
-# time-boxed differential-fuzz smoke (tools/ccra_fuzz --smoke): a fixed
-# seed range through the full oracle lattice — the same range the CI
-# smoke step sweeps, so a local pass predicts a CI pass; and the serving
+# (bench/perf_scaling), which exit non-zero if the shared cache and pool
+# change a result bit or the worklist simplifier ever differs from the
+# O(V^2) reference one; and last, the time-boxed differential-fuzz smoke
+# (tools/ccra_fuzz --smoke): a fixed seed range through the full oracle
+# lattice — the same range the CI smoke step sweeps, so a local pass
+# predicts a CI pass; and the serving
 # stack's gates: a live ccra_serve daemon driven through a mixed client
 # burst (valid + malformed frames) and drained with SIGTERM, a cache
 # smoke (a Zipfian burst against a cache-enabled sharded daemon that must
