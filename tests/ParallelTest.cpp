@@ -10,6 +10,7 @@
 
 #include "ccra.h"
 #include "workloads/RandomProgram.h"
+#include "workloads/SpecProxies.h"
 
 #include <atomic>
 #include <gtest/gtest.h>
@@ -290,6 +291,45 @@ TEST(ParallelAllocation, ExperimentGridIsDeterministic) {
   // The two specs that differ only in per-experiment Jobs agree too.
   EXPECT_EQ(Serial[0].Result.Costs.total(), Serial[1].Result.Costs.total());
   EXPECT_EQ(Serial[2].Result.Costs.total(), Serial[3].Result.Costs.total());
+
+  // The reproduction-figure shape: SPEC proxies x every standard register
+  // configuration. The shared analysis cache and pool of runExperiments
+  // must reproduce plain per-spec runExperiment calls bit for bit, and
+  // every allocation runs the liveness dataflow at most once per round
+  // (zero times when the cached baseline seeds round 1).
+  std::vector<std::unique_ptr<Module>> Programs;
+  for (const char *Name : {"gcc", "espresso", "fpppp"})
+    Programs.push_back(buildSpecProxy(Name));
+  std::vector<ExperimentSpec> Grid;
+  for (const auto &P : Programs)
+    for (const RegisterConfig &Config : standardConfigSweep())
+      Grid.push_back({P.get(), Config, improvedOptions(),
+                      FrequencyMode::Profile, /*Jobs=*/2});
+  std::vector<ExperimentResult> Plain;
+  for (const ExperimentSpec &Spec : Grid)
+    Plain.push_back(runExperiment(Spec).Result);
+
+  for (unsigned Jobs : {1u, 4u}) {
+    std::vector<ExperimentRun> Shared = runExperiments(Grid, Jobs);
+    ASSERT_EQ(Shared.size(), Grid.size());
+    for (std::size_t I = 0; I < Grid.size(); ++I) {
+      SCOPED_TRACE("jobs " + std::to_string(Jobs) + ", grid point " +
+                   std::to_string(I));
+      const ExperimentResult &A = Plain[I], &B = Shared[I].Result;
+      EXPECT_EQ(A.Costs.Spill, B.Costs.Spill);
+      EXPECT_EQ(A.Costs.CallerSave, B.Costs.CallerSave);
+      EXPECT_EQ(A.Costs.CalleeSave, B.Costs.CalleeSave);
+      EXPECT_EQ(A.Costs.Shuffle, B.Costs.Shuffle);
+      EXPECT_EQ(A.Cycles, B.Cycles);
+      EXPECT_EQ(A.SpilledRanges, B.SpilledRanges);
+      EXPECT_EQ(A.VoluntarySpills, B.VoluntarySpills);
+      EXPECT_EQ(A.CoalescedMoves, B.CoalescedMoves);
+      EXPECT_EQ(A.CalleeRegsPaid, B.CalleeRegsPaid);
+      EXPECT_EQ(A.MaxRounds, B.MaxRounds);
+      EXPECT_LE(Shared[I].Telemetry.count(telemetry::LivenessComputes),
+                Shared[I].Telemetry.count(telemetry::Rounds));
+    }
+  }
 }
 
 } // namespace

@@ -634,39 +634,89 @@ TEST(Service, RepeatRequestServedFromCacheByteIdentical) {
   LiveServer S;
   ServiceClient C = S.connect();
 
-  // Raw frames so the comparison covers the ENTIRE response payload —
-  // costs, per-function summaries, telemetry, and IR — not just the
-  // fields a parsed AllocResponse happens to surface.
-  AllocRequest Request = proxyRequest("eqntott");
-  Frame Req;
-  Req.Type = FrameType::AllocRequest;
-  Req.Payload = encodeAllocRequest(Request);
-  std::string Bytes;
-  encodeFrame(Req, Bytes);
+  // A population of distinct requests — several proxies, each over the v1
+  // text and the v2 binary codec (two cache keys per module) — sent cold
+  // once, then repeated. Raw frames so the comparison covers the ENTIRE
+  // response payload — costs, per-function summaries, telemetry, and IR —
+  // not just the fields a parsed AllocResponse happens to surface.
+  struct Case {
+    AllocRequest Request;
+    std::string Bytes;
+    std::string Cold;
+  };
+  std::vector<Case> Cases;
+  for (const char *Proxy : {"alvinn", "compress", "eqntott", "li"}) {
+    for (bool Binary : {false, true}) {
+      Case K;
+      K.Request = proxyRequest(Proxy);
+      Frame Req;
+      Req.Type = FrameType::AllocRequest;
+      if (Binary) {
+        AllocRequest Encoded = K.Request;
+        ParseResult PR = parseModule(Encoded.ModuleText);
+        ASSERT_TRUE(PR.ok());
+        std::string Err;
+        ASSERT_TRUE(encodeAllocRequestV2(Encoded, *PR.M, Req.Payload, &Err))
+            << Err;
+        Req.Type = FrameType::AllocRequestV2;
+      } else {
+        Req.Payload = encodeAllocRequest(K.Request);
+      }
+      encodeFrame(Req, K.Bytes);
+      Cases.push_back(std::move(K));
+    }
+  }
+  const double N = static_cast<double>(Cases.size());
 
-  std::string Payloads[2];
-  for (int I = 0; I < 2; ++I) {
+  auto Roundtrip = [&](const Case &K, std::string &Payload) {
     std::string Err;
-    ASSERT_TRUE(C.sendRawBytes(Bytes, &Err)) << Err;
+    ASSERT_TRUE(C.sendRawBytes(K.Bytes, &Err)) << Err;
     Frame Resp;
     ASSERT_EQ(FrameReadStatus::Ok, C.readResponse(Resp, &Err)) << Err;
     ASSERT_EQ(FrameType::AllocResponse, Resp.Type);
-    Payloads[I] = Resp.Payload;
-  }
-  EXPECT_EQ(Payloads[0], Payloads[1])
-      << "cache hit diverged from the cold allocation";
+    Payload = Resp.Payload;
+  };
 
-  TelemetrySnapshot Stats;
+  // Cold pass: every request misses and is allocated bit-identical to
+  // in-process allocation.
+  for (Case &K : Cases) {
+    Roundtrip(K, K.Cold);
+    AllocResponse Parsed;
+    ASSERT_TRUE(parseAllocResponse(K.Cold, Parsed));
+    std::string ExpectedIr;
+    CostBreakdown ExpectedTotals;
+    expectedAllocation(K.Request.ModuleText, K.Request, ExpectedIr,
+                       ExpectedTotals);
+    EXPECT_EQ(ExpectedIr, Parsed.AllocatedIr);
+    EXPECT_EQ(ExpectedTotals, Parsed.Totals);
+  }
+  TelemetrySnapshot Cold;
   ErrorResponse ServerError;
-  ASSERT_EQ(RpcStatus::Ok, C.stats(Stats, ServerError));
-  EXPECT_EQ(1.0, Stats.count(telemetry::CacheHits));
-  EXPECT_EQ(1.0, Stats.count(telemetry::CacheMisses));
-  EXPECT_EQ(1.0, Stats.count(telemetry::CacheInsertions));
-  EXPECT_EQ(1.0, Stats.count(telemetry::CacheModules));
-  EXPECT_GT(Stats.count(telemetry::CacheBytes), 0.0);
-  // The hit bypassed the engine: only the cold run was batched.
-  EXPECT_EQ(1.0, Stats.count(telemetry::ServeBatches));
-  EXPECT_EQ(2.0, Stats.count(telemetry::ServeResponsesOk));
+  ASSERT_EQ(RpcStatus::Ok, C.stats(Cold, ServerError));
+  EXPECT_EQ(0.0, Cold.count(telemetry::CacheHits));
+  EXPECT_EQ(N, Cold.count(telemetry::CacheMisses));
+  EXPECT_EQ(N, Cold.count(telemetry::CacheInsertions));
+  EXPECT_EQ(N, Cold.count(telemetry::CacheModules));
+  EXPECT_GT(Cold.count(telemetry::CacheBytes), 0.0);
+  // One request in flight at a time on one connection to a one-shard
+  // server: every cold request forms exactly one batch.
+  EXPECT_EQ(N, Cold.count(telemetry::ServeBatches));
+
+  // Repeat pass: every repeat is a hit, byte-identical to its cold
+  // response, and bypasses the engine — no new batch is formed.
+  for (const Case &K : Cases) {
+    std::string Repeat;
+    Roundtrip(K, Repeat);
+    EXPECT_EQ(K.Cold, Repeat) << "cache hit diverged from the cold allocation";
+  }
+  TelemetrySnapshot Warm;
+  ASSERT_EQ(RpcStatus::Ok, C.stats(Warm, ServerError));
+  EXPECT_EQ(N, Warm.count(telemetry::CacheHits));
+  EXPECT_EQ(N, Warm.count(telemetry::CacheMisses));
+  EXPECT_EQ(N, Warm.count(telemetry::CacheInsertions));
+  EXPECT_EQ(Cold.count(telemetry::ServeBatches),
+            Warm.count(telemetry::ServeBatches));
+  EXPECT_EQ(2 * N, Warm.count(telemetry::ServeResponsesOk));
 }
 
 TEST(Service, OptionsPerturbationMissesCache) {

@@ -1,30 +1,25 @@
 #!/usr/bin/env bash
-# Repository check: configure, build, and run the full test suite; then
-# rebuild with ThreadSanitizer (-DCCRA_TSAN=ON) and rerun the
-# concurrency-sensitive tests — the thread pool, the parallel-vs-serial
-# determinism suite, and the telemetry recorder — under it; finally run
-# the Release-mode perf smokes: the grid-throughput benchmark
-# (bench/perf_grid) and the per-function scaling benchmark
-# (bench/perf_scaling), which exit non-zero if the shared cache and pool
-# change a result bit or the worklist simplifier ever differs from the
-# O(V^2) reference one; and last, the time-boxed differential-fuzz smoke
-# (tools/ccra_fuzz --smoke): a fixed seed range through the full oracle
-# lattice — the same range the CI smoke step sweeps, so a local pass
-# predicts a CI pass; and the serving
-# stack's gates: a live ccra_serve daemon driven through a mixed client
-# burst (valid + malformed frames) and drained with SIGTERM, a cache
-# smoke (a Zipfian burst against a cache-enabled sharded daemon that must
-# produce a nonzero hit rate with every response still bit-identical),
-# then the soak (bench/perf_service) whose every valid response must be
-# bit-identical to in-process allocation and whose Zipf phase must clear
-# 100x the committed pre-cache baseline; and last, the benchmark's own
-# output and trace checks (ccrabench/run.py on cc-compile and large-fn),
-# as in CI.
+# Repository check, in order:
+#   1. configure, build, and run the full test suite;
+#   2. C frontend smoke: compile, verify and round-trip examples/corpus_c,
+#      and diff the lowering against the committed fuzz/corpus/cc-*.ccra;
+#   3. rebuild with ThreadSanitizer (-DCCRA_TSAN=ON) and rerun the tests
+#      labeled 'concurrency';
+#   4. Release perf_scaling: exits non-zero if the worklist simplifier ever
+#      differs from the O(V^2) reference simplifier;
+#   5. differential-fuzz smoke (ccra_fuzz --smoke): the fixed seed range CI
+#      sweeps through the full oracle lattice, then the wire-v2 codec sweep;
+#   6. service smokes: a live ccra_serve daemon driven through mixed
+#      bursts (plain, Zipfian against a sharded cache, wire v2), each
+#      bit-identity-checked and drained with SIGTERM;
+#   7. perf_service: the mixed abuse soak, a mid-flight drain and the c10k
+#      phase, each of which exits non-zero on a broken gate;
+#   8. the benchmark's own output and trace checks (ccrabench/run.py on
+#      cc-compile and large-fn), as in CI.
 #
 # Usage: tools/check.sh [extra cmake args...]
 #   JOBS=N   parallel build jobs (default: nproc)
 #   SOAK_REQUESTS=N   perf_service soak size (default: 10000)
-#   ZIPF_REQUESTS=N   perf_service Zipf phase size (default: 20000)
 #   C10K_CONNECTIONS=N   perf_service connection-scaling phase (default:
 #                        10000; 0 skips it — useful under tight fd limits)
 
@@ -58,10 +53,9 @@ cmake --build build-tsan -j "$JOBS" --target test_parallel test_telemetry \
       test_service test_cache test_binarycodec
 ctest --test-dir build-tsan --output-on-failure -L concurrency
 
-echo "== Release perf smokes: bit-identity gates (perf_grid, perf_scaling) =="
+echo "== Release perf_scaling: worklist vs reference simplifier =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release "$@"
-cmake --build build-release -j "$JOBS" --target perf_grid perf_scaling
-(cd build-release && ./bench/perf_grid)
+cmake --build build-release -j "$JOBS" --target perf_scaling
 (cd build-release && ./bench/perf_scaling)
 
 echo "== Differential-fuzz smoke: oracle lattice over the fixed seed range =="
@@ -91,17 +85,10 @@ cmake --build build-release -j "$JOBS" --target ccra_serve ccra_client \
 .github/scripts/service_smoke.sh --build-dir=build-release \
       --requests=200 --clients=4 --client-args="--wire=v2"
 
-echo "== Service soak gate (perf_service -> BENCH_service.json) =="
+echo "== Service gate: abuse soak, mid-flight drain, c10k (perf_service) =="
 (cd build-release && ./bench/perf_service \
       --requests="${SOAK_REQUESTS:-10000}" \
-      --zipf-requests="${ZIPF_REQUESTS:-20000}" \
       --c10k-connections="${C10K_CONNECTIONS:-10000}")
-
-echo "== Bench gate: fresh Release numbers vs committed baselines =="
-tools/bench_gate --baseline BENCH_service.json \
-      --fresh build-release/BENCH_service.json
-tools/bench_gate --baseline BENCH_grid.json \
-      --fresh build-release/BENCH_grid.json
 
 echo "== Benchmark output and trace checks (ccrabench, Release) =="
 # The same stage CI runs: every operation's output must match its
